@@ -7,7 +7,7 @@
 // (recursive reachability units {R}, {Deliver} and policy units {Open},
 // {Lockdown}). A seeded edit script (mostly security-team Acl churn
 // with occasional forwarding-team link flaps — the paper's "what if"
-// edits) is replayed twice per size:
+// edits) is replayed in two modes per size:
 //
 //   full — the oracle: IncrementalEngine with incrementality off, so
 //          every epoch reruns every stratum. Recorded as
@@ -17,6 +17,12 @@
 //   inc  — the same engine with delta propagation on. Recorded as
 //          `incremental[N].inc.wall_seconds`, plus a speedup gauge and
 //          the refired/skipped rule counters from IncStats.
+//
+// Each mode runs kRepeats times per size, alternating full and inc and
+// going round-robin over the sizes, and the walls recorded (and printed)
+// are the medians: the inc walls are a tenth of a second or two, short
+// enough for one run to catch a slow stretch of the host. The report's
+// counters (eval.*, eval.inc.*) add up all repeats.
 //
 // Every epoch's derived tables are checksummed in both modes and the
 // harness aborts on any divergence, so a bench run is also an oracle-
@@ -28,6 +34,7 @@
 // skips), FAURE_BENCH_TRACE=0 detaches the tracer. The report is the
 // span-free bench summary; FAURE_BENCH_FULL_SPANS=1 restores the raw
 // span tree for interactive profiling.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +71,9 @@ constexpr const char* kProgram =
 /// solver's enumeration) exponential in N, which would benchmark the
 /// condition language rather than the incremental engine.
 constexpr size_t kProtectedSpan = 42;  // 6 protected links (every 7th)
+
+/// Runs of each mode per size; the report carries the median walls.
+constexpr size_t kRepeats = 5;
 
 /// The synthetic network in the textual .fdb format (parsed fresh per
 /// mode so neither run sees the other's interner or c-var state).
@@ -198,6 +208,11 @@ ModeResult runMode(size_t links, const std::string& dbText,
   return out;
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 std::vector<size_t> parseList(const char* text) {
   std::vector<size_t> out;
   for (const char* p = text; *p != '\0';) {
@@ -240,20 +255,49 @@ int main() {
   std::printf("%8s | %10s %10s %8s | %8s %8s %8s\n", "#links", "full (s)",
               "inc (s)", "speedup", "refired", "skipped", "reused");
 
+  // Repeats go round-robin over the sizes, so every size's median samples
+  // the same stretch of time: the gate divides all walls by one of them.
+  struct SizeRuns {
+    std::string dbText, editText;
+    ModeResult full, inc;  // the last repeat (or the first bad one)
+    std::vector<double> fullWalls, fullInitials, incWalls;
+  };
+  std::vector<SizeRuns> runs(sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    runs[i].dbText = makeDbText(sizes[i]);
+    runs[i].editText = makeEditScript(sizes[i], edits);
+  }
+  auto bad = [](const SizeRuns& s) {
+    return s.full.incomplete || s.inc.incomplete ||
+           s.full.checksums != s.inc.checksums;
+  };
+  obs::Tracer* tp = traceOn ? &tracer : nullptr;
+  for (size_t r = 0; r < kRepeats; ++r) {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      SizeRuns& s = runs[i];
+      if (r > 0 && bad(s)) continue;  // reported below
+      const size_t n = sizes[i];
+      {
+        obs::Span span(tp,
+                       "incremental[size=" + std::to_string(n) + "][full]");
+        s.full = runMode(n, s.dbText, s.editText, /*incremental=*/false, tp);
+      }
+      {
+        obs::Span span(tp, "incremental[size=" + std::to_string(n) + "][inc]");
+        s.inc = runMode(n, s.dbText, s.editText, /*incremental=*/true, tp);
+      }
+      if (bad(s)) continue;
+      s.fullWalls.push_back(s.full.wallSeconds);
+      s.fullInitials.push_back(s.full.initialSeconds);
+      s.incWalls.push_back(s.inc.wallSeconds);
+    }
+  }
+
   bool diverged = false;
-  for (size_t n : sizes) {
-    const std::string dbText = makeDbText(n);
-    const std::string editText = makeEditScript(n, edits);
-    obs::Tracer* tp = traceOn ? &tracer : nullptr;
-    ModeResult full, inc;
-    {
-      obs::Span span(tp, "incremental[size=" + std::to_string(n) + "][full]");
-      full = runMode(n, dbText, editText, /*incremental=*/false, tp);
-    }
-    {
-      obs::Span span(tp, "incremental[size=" + std::to_string(n) + "][inc]");
-      inc = runMode(n, dbText, editText, /*incremental=*/true, tp);
-    }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const size_t n = sizes[i];
+    ModeResult& full = runs[i].full;
+    ModeResult& inc = runs[i].inc;
     if (full.incomplete || inc.incomplete) {
       std::fprintf(stderr, "size %zu: run incomplete, skipping row\n", n);
       continue;
@@ -266,6 +310,9 @@ int main() {
       diverged = true;
       continue;
     }
+    full.wallSeconds = median(runs[i].fullWalls);
+    full.initialSeconds = median(runs[i].fullInitials);
+    inc.wallSeconds = median(runs[i].incWalls);
     const double speedup =
         inc.wallSeconds > 0.0 ? full.wallSeconds / inc.wallSeconds : 0.0;
     std::printf("%8zu | %10.4f %10.4f %7.2fx | %8llu %8llu %8llu\n", n,

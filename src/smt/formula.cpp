@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
+#include <span>
 
 #include "smt/interner.hpp"
 #include "util/error.hpp"
@@ -272,89 +272,135 @@ Formula Formula::lin(LinTerm term, CmpOp op) {
   return makeNode(std::move(n));
 }
 
-Formula Formula::conj(std::vector<Formula> parts) {
+namespace {
+
+/// A junction of `kind` (And or Or) is absorbed by one constant and drops
+/// the other: And by false, dropping true; Or by true, dropping false.
+Formula absorbing(Formula::Kind kind) {
+  return Formula::boolean(kind == Formula::Kind::Or);
+}
+bool isNeutral(const Formula& f, Formula::Kind kind) {
+  return kind == Formula::Kind::And ? f.isTrue() : f.isFalse();
+}
+bool isAbsorbing(const Formula& f, Formula::Kind kind) {
+  return kind == Formula::Kind::And ? f.isFalse() : f.isTrue();
+}
+
+bool hashLess(const Formula& a, const Formula& b) {
+  return a.hash() < b.hash();
+}
+
+}  // namespace
+
+Formula Formula::makeJunction(Kind kind, std::vector<Formula> kids) {
+  FormulaNode n;
+  n.kind = kind;
+  n.kids = std::move(kids);
+  return makeNode(std::move(n));
+}
+
+Formula Formula::junction(Kind kind, std::vector<Formula> parts) {
   std::vector<Formula> kids;
-  auto add = [&](const Formula& f) {
-    for (const auto& k : kids) {
-      if (k == f) return;  // syntactic dedup
-    }
-    kids.push_back(f);
-  };
-  // Flatten one level of nested And (constructors keep the tree flat, so
-  // one level is all that can occur).
+  // Flatten one level of nested And/Or (constructors keep the tree flat,
+  // so one level is all that can occur).
   for (const auto& p : parts) {
-    if (p.isFalse()) return bottom();
-    if (p.isTrue()) continue;
-    if (p.kind() == Kind::And) {
-      for (const auto& k : p.node().kids) {
-        if (k.isFalse()) return bottom();
-        if (!k.isTrue()) add(k);
-      }
+    if (isAbsorbing(p, kind)) return absorbing(kind);
+    if (isNeutral(p, kind)) continue;
+    if (p.kind() == kind) {
+      const auto& pk = p.node().kids;
+      kids.insert(kids.end(), pk.begin(), pk.end());
     } else {
-      add(p);
-    }
-  }
-  if (kids.empty()) return top();
-  if (kids.size() == 1) return kids[0];
-  // a AND NOT a  (exact structural complement) => false.
-  for (const auto& k : kids) {
-    Formula nk = neg(k);
-    for (const auto& other : kids) {
-      if (other == nk) return bottom();
+      kids.push_back(p);
     }
   }
   // Canonical child order so that equal sets of conjuncts produce equal
   // formulas regardless of derivation order; fixed-point evaluation relies
-  // on this for syntactic dedup (and hence termination).
-  std::stable_sort(kids.begin(), kids.end(),
-                   [](const Formula& a, const Formula& b) {
-                     return a.hash() < b.hash();
-                   });
-  FormulaNode n;
-  n.kind = FormulaNode::Kind::And;
-  n.kids = std::move(kids);
-  return makeNode(std::move(n));
+  // on this for syntactic dedup (and hence termination). Equal formulas
+  // have equal hashes, so after the sort a duplicate can only sit in its
+  // original's run of equal hashes: keep each formula's first occurrence.
+  std::stable_sort(kids.begin(), kids.end(), hashLess);
+  size_t kept = 0;
+  size_t run = 0;  // first kept kid of the current equal-hash run
+  for (size_t i = 0; i < kids.size(); ++i) {
+    if (kept > 0 && kids[kept - 1].hash() != kids[i].hash()) run = kept;
+    auto runEnd = kids.begin() + static_cast<std::ptrdiff_t>(kept);
+    if (std::find(kids.begin() + static_cast<std::ptrdiff_t>(run), runEnd,
+                  kids[i]) != runEnd) {
+      continue;
+    }
+    if (kept != i) kids[kept] = std::move(kids[i]);
+    ++kept;
+  }
+  kids.resize(kept);
+  if (kids.empty()) return boolean(kind == Kind::And);
+  if (kids.size() == 1) return kids[0];
+  // a AND NOT a  (exact structural complement) => false; dually for OR.
+  for (const auto& k : kids) {
+    Formula nk = neg(k);
+    auto [lo, hi] = std::equal_range(kids.begin(), kids.end(), nk, hashLess);
+    for (auto it = lo; it != hi; ++it) {
+      if (*it == nk) return absorbing(kind);
+    }
+  }
+  return makeJunction(kind, std::move(kids));
+}
+
+Formula Formula::conj(std::vector<Formula> parts) {
+  return junction(Kind::And, std::move(parts));
 }
 
 Formula Formula::disj(std::vector<Formula> parts) {
-  std::vector<Formula> kids;
-  auto add = [&](const Formula& f) {
-    for (const auto& k : kids) {
-      if (k == f) return;
-    }
-    kids.push_back(f);
-  };
-  for (const auto& p : parts) {
-    if (p.isTrue()) return top();
-    if (p.isFalse()) continue;
-    if (p.kind() == Kind::Or) {
-      for (const auto& k : p.node().kids) {
-        if (k.isTrue()) return top();
-        if (!k.isFalse()) add(k);
-      }
-    } else {
-      add(p);
-    }
+  return junction(Kind::Or, std::move(parts));
+}
+
+Formula Formula::join2(Kind kind, const Formula& a, const Formula& b) {
+  if (isAbsorbing(a, kind) || isAbsorbing(b, kind)) return absorbing(kind);
+  if (isNeutral(a, kind) || a == b) return b;
+  if (isNeutral(b, kind)) return a;
+  const bool aFlat = a.kind() == kind;
+  const bool bFlat = b.kind() == kind;
+  if (aFlat && bFlat) return junction(kind, {a, b});
+  if (!aFlat && !bFlat) {
+    // Two distinct single operands. neg is an involution (no constructor
+    // builds a Not node), so one test finds a complement pair.
+    if (neg(a) == b) return absorbing(kind);
+    return makeJunction(kind, b.hash() < a.hash() ? std::vector{b, a}
+                                                  : std::vector{a, b});
   }
-  if (kids.empty()) return bottom();
-  if (kids.size() == 1) return kids[0];
+  // The c-table merge's case: one operand e joins an interned junction n,
+  // whose kids are already flat, deduplicated, complement-free and
+  // hash-sorted, so only e's membership and e's complement need testing.
+  const Formula& n = aFlat ? a : b;
+  const Formula& e = aFlat ? b : a;
+  const std::vector<Formula>& kids = n.node().kids;
+  const Formula ne = neg(e);
   for (const auto& k : kids) {
-    Formula nk = neg(k);
-    for (const auto& other : kids) {
-      if (other == nk) return top();
-    }
+    if (k == e) return n;
+    if (k == ne) return absorbing(kind);
   }
-  std::stable_sort(kids.begin(), kids.end(),
-                   [](const Formula& a, const Formula& b) {
-                     return a.hash() < b.hash();
-                   });
-  FormulaNode n;
-  n.kind = FormulaNode::Kind::Or;
-  n.kids = std::move(kids);
-  return makeNode(std::move(n));
+  // Where stable_sort would place e: after equal hashes when e comes
+  // second, before them when it comes first.
+  auto at = aFlat ? std::upper_bound(kids.begin(), kids.end(), e, hashLess)
+                  : std::lower_bound(kids.begin(), kids.end(), e, hashLess);
+  std::vector<Formula> merged;
+  merged.reserve(kids.size() + 1);
+  merged.insert(merged.end(), kids.begin(), at);
+  merged.push_back(e);
+  merged.insert(merged.end(), at, kids.end());
+  return makeJunction(kind, std::move(merged));
 }
 
 Formula Formula::neg(const Formula& f) {
+  if (f.isTrue()) return bottom();
+  if (f.isFalse()) return top();
+  FormulaInterner& interner = FormulaInterner::instance();
+  if (auto linked = interner.negation(f.node())) {
+    return Formula(std::move(linked));
+  }
+  return Formula(interner.linkNegation(f.node(), deMorgan(f).node_));
+}
+
+Formula Formula::deMorgan(const Formula& f) {
   switch (f.kind()) {
     case Kind::True:
       return bottom();
@@ -416,22 +462,22 @@ std::string Formula::toString(const CVarRegistry* reg) const {
 
 namespace {
 
-/// Conjunct list of a formula: its children for And, itself otherwise.
-void conjuncts(const Formula& f, std::vector<Formula>& out) {
-  if (f.kind() == Formula::Kind::And) {
-    out = f.node().kids;
-  } else {
-    out = {f};
-  }
+/// Conjunct list of a formula, in place: its children for And, itself
+/// otherwise. Either way the list is sorted by hash.
+std::span<const Formula> conjuncts(const Formula& f) {
+  if (f.kind() == Formula::Kind::And) return f.node().kids;
+  return {&f, 1};
 }
 
-/// a's conjunct set ⊇ b's conjunct set (so a ⇒ b).
-bool conjunctsInclude(const std::vector<Formula>& a,
-                      const std::vector<Formula>& b) {
+/// a's conjunct set ⊇ b's conjunct set (so a ⇒ b). Both lists are sorted
+/// by hash, so one merge-like pass finds every member.
+bool conjunctsInclude(std::span<const Formula> a, std::span<const Formula> b) {
+  size_t i = 0;
   for (const auto& need : b) {
+    while (i < a.size() && a[i].hash() < need.hash()) ++i;
     bool found = false;
-    for (const auto& have : a) {
-      if (have == need) {
+    for (size_t j = i; j < a.size() && a[j].hash() == need.hash(); ++j) {
+      if (a[j] == need) {
         found = true;
         break;
       }
@@ -449,34 +495,21 @@ bool impliesSyntactically(const Formula& a, const Formula& b) {
   if (b.isFalse() || a.isTrue()) return false;
   // a ⇒ (c1 | c2 | ...) if a ⇒ some ci (checking each ci structurally).
   if (b.kind() == Formula::Kind::Or) {
-    std::vector<Formula> ac;
-    conjuncts(a, ac);
     for (const auto& kid : b.node().kids) {
-      if (kid == a) return true;
-      std::vector<Formula> kc;
-      conjuncts(kid, kc);
-      if (conjunctsInclude(ac, kc)) return true;
-    }
-    // (a1 | a2) ⇒ b needs every disjunct of a to imply b.
-    if (a.kind() == Formula::Kind::Or) {
-      for (const auto& kid : a.node().kids) {
-        if (!impliesSyntactically(kid, b)) return false;
+      if (kid == a || conjunctsInclude(conjuncts(a), conjuncts(kid))) {
+        return true;
       }
-      return true;
     }
-    return false;
   }
+  // (a1 | a2) ⇒ b needs every disjunct of a to imply b.
   if (a.kind() == Formula::Kind::Or) {
     for (const auto& kid : a.node().kids) {
       if (!impliesSyntactically(kid, b)) return false;
     }
     return true;
   }
-  std::vector<Formula> ac;
-  std::vector<Formula> bc;
-  conjuncts(a, ac);
-  conjuncts(b, bc);
-  return conjunctsInclude(ac, bc);
+  if (b.kind() == Formula::Kind::Or) return false;
+  return conjunctsInclude(conjuncts(a), conjuncts(b));
 }
 
 void Formula::collectVars(std::vector<CVarId>& out) const {

@@ -13,6 +13,7 @@
 // the solver's job (solver.hpp).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,6 +67,28 @@ struct LinTerm {
 };
 
 class Formula;
+struct FormulaNode;
+
+/// Per-node interner bookkeeping: the node's creation sequence number and
+/// the memoised link to its negation (FormulaInterner::negation). A copy
+/// (the node moved into the interner) keeps the sequence number but
+/// starts unlinked.
+class ComplementLink {
+ public:
+  ComplementLink() = default;
+  ComplementLink(const ComplementLink& o) : seq_(o.seq_) {}
+
+ private:
+  friend class FormulaInterner;
+  enum : uint8_t { kUnset, kWeak, kStrong };
+
+  uint64_t seq_ = 0;
+  // Published with release ordering once `strong_` or `weak_` is written;
+  // each of the two is written at most once (kUnset -> kWeak -> kStrong).
+  mutable std::atomic<uint8_t> state_{kUnset};
+  mutable std::shared_ptr<const FormulaNode> strong_;
+  mutable std::weak_ptr<const FormulaNode> weak_;
+};
 
 /// Internal shared node. Exposed so the solver and transforms can walk the
 /// structure; construct formulas only through Formula's factories.
@@ -83,6 +106,7 @@ struct FormulaNode {
   std::vector<Formula> kids;
 
   size_t hash = 0;
+  ComplementLink complement;
 };
 
 /// Immutable boolean condition over the c-domain.
@@ -109,18 +133,23 @@ class Formula {
 
   /// N-ary conjunction: flattens, drops `true`, dedups syntactically,
   /// returns `false` if any child is `false` or if both an atom and its
-  /// exact negation occur.
+  /// exact negation occur. Children are ordered by hash (stably).
   static Formula conj(std::vector<Formula> parts);
   /// N-ary disjunction (dual of conj).
   static Formula disj(std::vector<Formula> parts);
-  /// Negation: folds constants, double negation, and comparison atoms.
+  /// Negation: folds constants, double negation, and comparison atoms;
+  /// pushes NOT through And/Or (De Morgan). Memoised on the node, so each
+  /// distinct formula is negated once while it lives.
   static Formula neg(const Formula& f);
 
+  /// conj({a, b}) — the same node — without building a vector unless
+  /// both are conjunctions.
   static Formula conj2(const Formula& a, const Formula& b) {
-    return conj({a, b});
+    return join2(Kind::And, a, b);
   }
+  /// disj({a, b}), likewise.
   static Formula disj2(const Formula& a, const Formula& b) {
-    return disj({a, b});
+    return join2(Kind::Or, a, b);
   }
 
   Kind kind() const { return node_->kind; }
@@ -159,6 +188,14 @@ class Formula {
       : node_(std::move(node)) {}
 
   static Formula makeNode(FormulaNode node);
+  static Formula makeJunction(Kind kind, std::vector<Formula> kids);
+  /// conj (kind And) / disj (kind Or).
+  static Formula junction(Kind kind, std::vector<Formula> parts);
+  /// junction(kind, {a, b}) without the vector, except when both are
+  /// junctions of this kind.
+  static Formula join2(Kind kind, const Formula& a, const Formula& b);
+  /// The uncached negation neg() memoises.
+  static Formula deMorgan(const Formula& f);
 
   std::shared_ptr<const FormulaNode> node_;
 };

@@ -14,14 +14,21 @@
 // every condition they ever built. Thread-safe: the table is sharded by
 // node hash, one mutex per shard, so parallel evaluation lanes interning
 // join conditions rarely contend.
+//
+// The interner also keeps each node's complement link (Formula::neg's
+// memo, DESIGN.md §8). A link is written under the node's shard lock and
+// read lock-free. It is strong toward the node created later and weak
+// toward the older one, so A <-> NOT A never forms a shared_ptr cycle.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "smt/formula.hpp"
 
 namespace faure::smt {
@@ -38,13 +45,30 @@ class FormulaInterner {
   /// through Formula's factories — kids are compared by pointer).
   std::shared_ptr<const FormulaNode> intern(FormulaNode&& node);
 
+  /// The recorded negation of `node`, or null when none is recorded or
+  /// the (older, weakly held) one has been freed. Lock-free.
+  std::shared_ptr<const FormulaNode> negation(const FormulaNode& node);
+
+  /// Records `neg` as the negation of `node` and returns the recorded
+  /// node: `neg` itself, or the equal node another thread recorded first.
+  std::shared_ptr<const FormulaNode> linkNegation(
+      const FormulaNode& node, std::shared_ptr<const FormulaNode> neg);
+
   struct Stats {
-    uint64_t hits = 0;    // intern() found an existing node
-    uint64_t misses = 0;  // intern() created a node
-    uint64_t sweeps = 0;  // full expired-entry sweeps
-    size_t entries = 0;   // live (non-expired at last count) entries
+    uint64_t hits = 0;        // intern() found an existing node
+    uint64_t misses = 0;      // intern() created a node
+    uint64_t sweeps = 0;      // full expired-entry sweeps
+    uint64_t negHits = 0;     // neg() answered from a complement link
+    uint64_t negMisses = 0;   // neg() computed and linked a negation
+    size_t entries = 0;       // live (non-expired at last count) entries
   };
   Stats stats() const;
+
+  /// Sets the smt.interner.* gauges of a run report from stats(): calls,
+  /// new_nodes, live_nodes, neg_hits, neg_misses. They are gauges, not
+  /// counters: the interner is process-wide and its traffic depends on
+  /// scheduling and on the verdict cache, so they are physical metrics.
+  void recordStats(obs::Registry& metrics) const;
 
   FormulaInterner(const FormulaInterner&) = delete;
   FormulaInterner& operator=(const FormulaInterner&) = delete;
@@ -67,11 +91,17 @@ class FormulaInterner {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t sweeps = 0;
+    uint64_t negMisses = 0;
+    // Counted outside the lock, on every memo hit: on a cache line of its
+    // own so lock-free readers do not bounce the line `mu` lives on.
+    alignas(64) std::atomic<uint64_t> negHits{0};
   };
 
   static void sweep(Shard& shard);
+  Shard& shardFor(size_t hash);
 
   Shard shards_[kShards];
+  std::atomic<uint64_t> nextSeq_{1};
 };
 
 }  // namespace faure::smt

@@ -8,6 +8,7 @@
 #include "datalog/parser.hpp"
 #include "faurelog/eval.hpp"
 #include "obs/json.hpp"
+#include "smt/interner.hpp"
 #include "util/resource_guard.hpp"
 
 namespace faure::obs {
@@ -71,6 +72,39 @@ TEST(ReportTest, MetricsOnlyVariant) {
   EXPECT_EQ(v.find("spans")->items.size(), 0u);
   EXPECT_DOUBLE_EQ(
       v.find("metrics")->find("counters")->find("solver.checks")->num, 9.0);
+}
+
+// The interner's traffic, negation memo included, is exported as
+// smt.interner.* gauges equal to FormulaInterner::stats().
+TEST(ReportTest, InternerGaugesCarryNegationMemo) {
+  smt::Formula f = smt::Formula::cmp(faure::Value::cvar(0), smt::CmpOp::Lt,
+                                     faure::Value::fromInt(987654));
+  smt::Formula n1 = smt::Formula::neg(f);  // computed and linked
+  smt::Formula n2 = smt::Formula::neg(f);  // answered from the link
+  EXPECT_EQ(n1, n2);
+  Registry reg;
+  smt::FormulaInterner::instance().recordStats(reg);
+  const smt::FormulaInterner::Stats s =
+      smt::FormulaInterner::instance().stats();
+  ReportMeta meta;
+  meta.command = "run";
+  json::Value v = json::parse(runReportJson(reg, meta));
+  const json::Value* gauges = v.find("metrics")->find("gauges");
+  ASSERT_NE(gauges->find("smt.interner.neg_hits"), nullptr);
+  ASSERT_NE(gauges->find("smt.interner.neg_misses"), nullptr);
+  EXPECT_GE(gauges->find("smt.interner.neg_hits")->num, 1.0);
+  EXPECT_GE(gauges->find("smt.interner.neg_misses")->num, 1.0);
+  EXPECT_DOUBLE_EQ(gauges->find("smt.interner.neg_hits")->num,
+                   static_cast<double>(s.negHits));
+  EXPECT_DOUBLE_EQ(gauges->find("smt.interner.neg_misses")->num,
+                   static_cast<double>(s.negMisses));
+  EXPECT_DOUBLE_EQ(gauges->find("smt.interner.calls")->num,
+                   static_cast<double>(s.hits + s.misses));
+  EXPECT_DOUBLE_EQ(gauges->find("smt.interner.new_nodes")->num,
+                   static_cast<double>(s.misses));
+  // Physical telemetry: none of it is a (byte-compared) counter.
+  EXPECT_EQ(v.find("metrics")->find("counters")->find("smt.interner.neg_hits"),
+            nullptr);
 }
 
 // A governed evaluation that trips its tuple budget must surface the trip

@@ -103,6 +103,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "relational/worlds.hpp"
+#include "smt/interner.hpp"
 #include "smt/supervised_solver.hpp"
 #include "smt/verdict_cache.hpp"
 #include "smt/z3_solver.hpp"
@@ -412,8 +413,9 @@ void writeFileOrThrow(const char* path, const std::string& text) {
 
 /// Emits the requested --trace / --metrics artifacts. Called after the
 /// top-level span is closed so the exported tree is complete.
-void exportObs(const obs::Tracer& tracer, const ObsFlags& flags,
+void exportObs(obs::Tracer& tracer, const ObsFlags& flags,
                const obs::ReportMeta& meta) {
+  smt::FormulaInterner::instance().recordStats(tracer.metrics());
   if (flags.trace) {
     if (flags.traceFile != nullptr) {
       writeFileOrThrow(flags.traceFile, tracer.chromeTrace());
