@@ -123,6 +123,45 @@ void BM_NativeImplication(benchmark::State& state) {
 }
 BENCHMARK(BM_NativeImplication);
 
+void BM_NativeWideImplication(benchmark::State& state) {
+  // The Table-4 merge-subsumption shape: a ⇒ b1 ∨ … ∨ bn over link bits,
+  // each bi a two-link path guard (x_i = 1 ∧ x_{i+1} = 0). Its check
+  // a ∧ ¬b1 ∧ … ∧ ¬bn has 2^n cubes. With holds=0 the implication fails
+  // and the solver may stop at the first Sat cube. With holds=1 the
+  // disjuncts x_1 = 1 and x_1 = 0 are added: no syntactic fold sees that
+  // they cover every world, so every cube is visited and found Unsat.
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool holds = state.range(1) != 0;
+  CVarRegistry reg;
+  std::vector<CVarId> x;
+  for (size_t i = 0; i < n; ++i) {
+    x.push_back(reg.declareInt("x" + std::to_string(i) + "_", 0, 1));
+  }
+  auto bit = [&](size_t i, int64_t v) {
+    return Formula::cmp(Value::cvar(x[i % n]), CmpOp::Eq, Value::fromInt(v));
+  };
+  Formula a = bit(0, 1);
+  std::vector<Formula> paths;
+  if (holds) {
+    paths.push_back(bit(1, 1));
+    paths.push_back(bit(1, 0));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    paths.push_back(Formula::conj2(bit(i, 1), bit(i + 1, 0)));
+  }
+  Formula b = Formula::disj(std::move(paths));
+  NativeSolver solver(reg);
+  bool last = false;
+  for (auto _ : state) {
+    last = solver.implies(a, b);
+    benchmark::DoNotOptimize(last);
+  }
+  if (last != holds) state.SkipWithError("unexpected implication verdict");
+}
+BENCHMARK(BM_NativeWideImplication)
+    ->ArgsProduct({{4, 8, 11}, {0, 1}})
+    ->ArgNames({"n", "holds"});
+
 void BM_NativeCachedImplication(benchmark::State& state) {
   // implies() memoizes per ordered (a, b) pair; the corpus gives 256
   // distinct pairs, so steady state is all hits.

@@ -24,6 +24,17 @@
 // run regenerates the RIB so no run sees a predecessor's derived
 // tables.
 //
+// Repeats: every measured configuration — each (size,threads) run and
+// each size's cache-off control below — runs kRepeats times, going
+// round-robin over all configurations, and the wall recorded (and
+// printed) is the median. The printed row and its gauges are those of
+// the repeat whose wall is the median. One run at the gate sizes takes a
+// few tens of milliseconds, short enough to land wholly in a slow
+// stretch of the host; round-robin makes every configuration's median
+// sample the same stretch, which matters because tools/bench_check.py
+// divides all walls by one of them. Counters in the report add up all
+// repeats.
+//
 // Solver verdict cache: every (size,threads) run attaches a fresh
 // VerdictCache sized by FAURE_SOLVER_CACHE (0 disables). The serial row
 // records `table4[N].solver.cache.{hits,misses,evictions}` plus
@@ -46,6 +57,7 @@
 // `table4[size=N]` span tree. FAURE_BENCH_TRACE=0 detaches the tracer
 // entirely — the timing configuration for overhead comparisons (no
 // report file).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -149,6 +161,84 @@ std::vector<size_t> parseList(const char* text) {
   return out;
 }
 
+/// Runs of each configuration; the report carries the median walls.
+constexpr size_t kRepeats = 9;
+
+/// One pipeline run on a freshly generated RIB.
+struct Run {
+  double wall = 0.0;
+  net::Table4Result result;
+  smt::SolverStats solver;
+  smt::VerdictCache::Stats cache;
+  bool governed = false;
+};
+
+/// One measured configuration and its repeats.
+struct Config {
+  size_t n = 0;
+  size_t threads = 1;
+  bool nocache = false;
+  std::vector<Run> runs;
+
+  /// The repeat whose wall is the median.
+  const Run& median() const {
+    std::vector<size_t> order(runs.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    auto mid = order.begin() + order.size() / 2;
+    std::nth_element(order.begin(), mid, order.end(), [&](size_t a, size_t b) {
+      return runs[a].wall < runs[b].wall;
+    });
+    return runs[*mid];
+  }
+};
+
+Run runOnce(const Config& c, size_t cacheEntries, const ResourceLimits& limits,
+            obs::Tracer* tracer) {
+  // Fresh state per run: a previous run stored its derived R/T1/T2/T3
+  // back into the database, which would seed — and skew — a repeat on
+  // the same instance.
+  net::RibConfig cfg;
+  cfg.numPrefixes = c.n;
+  rel::Database db;
+  net::RibGenResult rib = net::generateRib(db, cfg);
+  smt::NativeSolver solver(db.cvars());
+  std::unique_ptr<smt::VerdictCache> cache;
+  if (!c.nocache && cacheEntries > 0) {
+    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
+    solver.setVerdictCache(cache.get());
+  }
+  ResourceGuard guard(limits);
+  fl::EvalOptions opts;
+  opts.threads = static_cast<unsigned>(c.threads);
+  opts.tracer = tracer;
+  if (guard.active()) {
+    opts.guard = &guard;
+    solver.setGuard(&guard);
+    if (tracer != nullptr && !c.nocache) {
+      guard.onTrip([tracer](Budget, const std::string& reason) {
+        tracer->event("budget.trip", reason);
+      });
+    }
+  }
+  std::string tag = "table4[size=" + std::to_string(c.n) + "]";
+  if (c.nocache) {
+    tag += "[nocache]";
+  } else if (c.threads != 1) {
+    tag += "[threads=" + std::to_string(c.threads) + "]";
+  }
+  Run run;
+  util::Stopwatch watch;
+  {
+    obs::Span span(tracer, tag);
+    run.result = net::runTable4(db, rib, solver, opts);
+  }
+  run.wall = watch.elapsed();
+  run.solver = solver.stats();
+  if (cache != nullptr) run.cache = cache->stats();
+  run.governed = guard.active();
+  return run;
+}
+
 }  // namespace
 
 int main() {
@@ -181,130 +271,40 @@ int main() {
 
   std::printf(
       "\n---- this implementation (native engine + native solver, "
-      "synthetic RIB) ----\n%s\n",
-      net::table4Header().c_str());
+      "synthetic RIB; median of %zu runs) ----\n%s\n",
+      kRepeats, net::table4Header().c_str());
   ResourceLimits limits = ResourceLimits::fromEnv();
   const size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  util::Stopwatch watch;
-  for (size_t n : sizes) {
-    double serialWall = 0.0;
-    for (size_t threads : threadCounts) {
-      // Fresh state per (size, threads): a previous run stored its
-      // derived R/T1/T2/T3 back into the database, which would seed —
-      // and skew — a repeat on the same instance.
-      net::RibConfig cfg;
-      cfg.numPrefixes = n;
-      rel::Database db;
-      net::RibGenResult rib = net::generateRib(db, cfg);
-      smt::NativeSolver solver(db.cvars());
-      std::unique_ptr<smt::VerdictCache> cache;
-      if (cacheEntries > 0) {
-        cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-        solver.setVerdictCache(cache.get());
-      }
-      ResourceGuard guard(limits);
-      fl::EvalOptions opts;
-      opts.threads = static_cast<unsigned>(threads);
-      if (traceOn) opts.tracer = &tracer;
-      if (guard.active()) {
-        opts.guard = &guard;
-        solver.setGuard(&guard);
-        if (traceOn) {
-          guard.onTrip([&tracer](Budget, const std::string& reason) {
-            tracer.event("budget.trip", reason);
-          });
-        }
-      }
-      net::Table4Result r;
-      {
-        std::string tag = "table4[size=" + std::to_string(n) + "]";
-        if (threads != 1) tag += "[threads=" + std::to_string(threads) + "]";
-        obs::Span span(opts.tracer, tag);
-        watch.lap();
-        r = net::runTable4(db, rib, solver, opts);
-      }
-      double wall = watch.lap();
-      if (threads == 1) {
-        serialWall = wall;
-        if (traceOn) recordRow(tracer.metrics(), n, r, wall);
-        std::printf("%s\n", net::formatTable4Row(n, r).c_str());
-        if (cache != nullptr) {
-          // Serial accounting: every cache hit is one logical check that
-          // skipped the decision procedure, so physical = logical - hits.
-          const smt::VerdictCache::Stats cs = cache->stats();
-          const uint64_t logical = solver.stats().checks;
-          const uint64_t physical = logical - cs.hits;
-          std::printf(
-              "%9s cache: %llu/%llu physical/logical checks, %llu hits, "
-              "%llu misses, %llu evictions\n",
-              "", static_cast<unsigned long long>(physical),
-              static_cast<unsigned long long>(logical),
-              static_cast<unsigned long long>(cs.hits),
-              static_cast<unsigned long long>(cs.misses),
-              static_cast<unsigned long long>(cs.evictions));
-          if (traceOn) {
-            obs::Registry& reg = tracer.metrics();
-            const std::string base = "table4[" + std::to_string(n) + "].";
-            reg.gauge(base + "solver.cache.hits")
-                .set(static_cast<double>(cs.hits));
-            reg.gauge(base + "solver.cache.misses")
-                .set(static_cast<double>(cs.misses));
-            reg.gauge(base + "solver.cache.evictions")
-                .set(static_cast<double>(cs.evictions));
-            reg.gauge(base + "solver_checks_logical")
-                .set(static_cast<double>(logical));
-            reg.gauge(base + "solver_checks_physical")
-                .set(static_cast<double>(physical));
-          }
-        }
-      } else {
-        if (traceOn) {
-          recordThreadedRow(tracer.metrics(), n,
-                            static_cast<unsigned>(threads), r, wall,
-                            serialWall);
-        }
-        std::printf("%s   (threads=%zu", net::formatTable4Row(n, r).c_str(),
-                    threads);
-        if (serialWall > 0.0 && wall > 0.0) {
-          std::printf(", %.2fx vs serial", serialWall / wall);
-        }
-        std::printf(")\n");
-      }
-      if (guard.active()) {
-        std::printf(
-            "%9s governed: %s, %llu eval budget-trips, %llu degraded solver "
-            "checks\n",
-            "", r.incomplete ? r.degradeReason.c_str() : "within budget",
-            static_cast<unsigned long long>(r.budgetTrips),
-            static_cast<unsigned long long>(solver.stats().budgetTrips));
-      }
-      std::fflush(stdout);
-    }
 
-    // Cache-off serial control: same size, no VerdictCache, so the
-    // report carries both configurations for the gated baseline.
-    if (cacheEntries > 0) {
-      net::RibConfig cfg;
-      cfg.numPrefixes = n;
-      rel::Database db;
-      net::RibGenResult rib = net::generateRib(db, cfg);
-      smt::NativeSolver solver(db.cvars());
-      ResourceGuard guard(limits);
-      fl::EvalOptions opts;
-      opts.threads = 1;
-      if (traceOn) opts.tracer = &tracer;
-      if (guard.active()) {
-        opts.guard = &guard;
-        solver.setGuard(&guard);
-      }
-      net::Table4Result r;
-      {
-        std::string tag = "table4[size=" + std::to_string(n) + "][nocache]";
-        obs::Span span(opts.tracer, tag);
-        watch.lap();
-        r = net::runTable4(db, rib, solver, opts);
-      }
-      double wall = watch.lap();
+  // Per size: one configuration per thread count, then the cache-off
+  // serial control (same size, no VerdictCache, so the report carries
+  // both configurations for the gated baseline).
+  std::vector<Config> configs;
+  for (size_t n : sizes) {
+    for (size_t threads : threadCounts) {
+      configs.push_back(Config{n, threads, false, {}});
+    }
+    if (cacheEntries > 0) configs.push_back(Config{n, 1, true, {}});
+  }
+  obs::Tracer* tp = traceOn ? &tracer : nullptr;
+  for (size_t r = 0; r < kRepeats; ++r) {
+    for (Config& c : configs) {
+      c.runs.push_back(runOnce(c, cacheEntries, limits, tp));
+    }
+  }
+
+  double serialWall = 0.0;  // of the current size
+  size_t serialSize = 0;
+  for (const Config& c : configs) {
+    if (c.n != serialSize) {
+      serialSize = c.n;
+      serialWall = 0.0;
+    }
+    const Run& run = c.median();
+    const net::Table4Result& r = run.result;
+    const double wall = run.wall;
+    const size_t n = c.n;
+    if (c.nocache) {
       if (traceOn) {
         tracer.metrics()
             .gauge("table4[" + std::to_string(n) + "].nocache.wall_seconds")
@@ -312,15 +312,68 @@ int main() {
         tracer.metrics()
             .gauge("table4[" + std::to_string(n) +
                    "].nocache.solver_checks_physical")
-            .set(static_cast<double>(solver.stats().checks));
+            .set(static_cast<double>(run.solver.checks));
       }
       std::printf("%s   (cache off", net::formatTable4Row(n, r).c_str());
       if (serialWall > 0.0 && wall > 0.0) {
         std::printf(", cached serial is %.2fx", wall / serialWall);
       }
       std::printf(")\n");
-      std::fflush(stdout);
+    } else if (c.threads == 1) {
+      serialWall = wall;
+      if (traceOn) recordRow(tracer.metrics(), n, r, wall);
+      std::printf("%s\n", net::formatTable4Row(n, r).c_str());
+      if (cacheEntries > 0) {
+        // Serial accounting: every cache hit is one logical check that
+        // skipped the decision procedure, so physical = logical - hits.
+        const smt::VerdictCache::Stats& cs = run.cache;
+        const uint64_t logical = run.solver.checks;
+        const uint64_t physical = logical - cs.hits;
+        std::printf(
+            "%9s cache: %llu/%llu physical/logical checks, %llu hits, "
+            "%llu misses, %llu evictions\n",
+            "", static_cast<unsigned long long>(physical),
+            static_cast<unsigned long long>(logical),
+            static_cast<unsigned long long>(cs.hits),
+            static_cast<unsigned long long>(cs.misses),
+            static_cast<unsigned long long>(cs.evictions));
+        if (traceOn) {
+          obs::Registry& reg = tracer.metrics();
+          const std::string base = "table4[" + std::to_string(n) + "].";
+          reg.gauge(base + "solver.cache.hits")
+              .set(static_cast<double>(cs.hits));
+          reg.gauge(base + "solver.cache.misses")
+              .set(static_cast<double>(cs.misses));
+          reg.gauge(base + "solver.cache.evictions")
+              .set(static_cast<double>(cs.evictions));
+          reg.gauge(base + "solver_checks_logical")
+              .set(static_cast<double>(logical));
+          reg.gauge(base + "solver_checks_physical")
+              .set(static_cast<double>(physical));
+        }
+      }
+    } else {
+      if (traceOn) {
+        recordThreadedRow(tracer.metrics(), n,
+                          static_cast<unsigned>(c.threads), r, wall,
+                          serialWall);
+      }
+      std::printf("%s   (threads=%zu", net::formatTable4Row(n, r).c_str(),
+                  c.threads);
+      if (serialWall > 0.0 && wall > 0.0) {
+        std::printf(", %.2fx vs serial", serialWall / wall);
+      }
+      std::printf(")\n");
     }
+    if (run.governed && !c.nocache) {
+      std::printf(
+          "%9s governed: %s, %llu eval budget-trips, %llu degraded solver "
+          "checks\n",
+          "", r.incomplete ? r.degradeReason.c_str() : "within budget",
+          static_cast<unsigned long long>(r.budgetTrips),
+          static_cast<unsigned long long>(run.solver.budgetTrips));
+    }
+    std::fflush(stdout);
   }
 
   const char* jsonPath = std::getenv("FAURE_BENCH_JSON");

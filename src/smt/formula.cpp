@@ -1,7 +1,6 @@
 #include "smt/formula.hpp"
 
 #include <algorithm>
-#include <map>
 #include <span>
 
 #include "smt/interner.hpp"
@@ -83,13 +82,23 @@ bool evalIntCmp(int64_t a, CmpOp op, int64_t b) {
 
 LinTerm LinTerm::make(std::vector<std::pair<CVarId, int64_t>> entries,
                       int64_t cst) {
-  std::map<CVarId, int64_t> acc;
-  for (const auto& [v, c] : entries) acc[v] += c;
-  LinTerm t;
-  t.cst = cst;
-  for (const auto& [v, c] : acc) {
-    if (c != 0) t.coefs.emplace_back(v, c);
+  // Sort by variable, then sum each variable's run in place, dropping
+  // zero sums.
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  size_t kept = 0;
+  for (size_t i = 0; i < entries.size();) {
+    const CVarId v = entries[i].first;
+    int64_t c = 0;
+    for (; i < entries.size() && entries[i].first == v; ++i) {
+      c += entries[i].second;
+    }
+    if (c != 0) entries[kept++] = {v, c};
   }
+  entries.resize(kept);
+  LinTerm t;
+  t.coefs = std::move(entries);
+  t.cst = cst;
   return t;
 }
 

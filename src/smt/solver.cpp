@@ -190,16 +190,31 @@ int64_t satMul(int64_t a, int64_t b) {
 
 /// Theory state for one conjunction of atoms: union-find over c-variables
 /// with per-class constant bindings, excluded constants, integer intervals
-/// and a joint finite-candidate computation.
+/// and a joint finite-candidate computation. One checker serves every
+/// cube of a physical check: check() starts from a clean state but keeps
+/// the capacity of its tables.
 class CubeChecker {
  public:
+  /// `slotOf` is the caller's variable-to-class table, indexed by
+  /// CVarId; it must hold only kNoSlot entries, and the checker leaves
+  /// it that way when it is destroyed, even by an exception.
   CubeChecker(const CVarRegistry& reg, uint64_t maxEnum, uint64_t* enumCount,
-              ResourceGuard* guard)
-      : reg_(reg), maxEnum_(maxEnum), enumCount_(enumCount), guard_(guard) {}
+              ResourceGuard* guard, std::vector<uint32_t>& slotOf)
+      : reg_(reg),
+        maxEnum_(maxEnum),
+        enumCount_(enumCount),
+        guard_(guard),
+        slotOf_(slotOf) {}
+  ~CubeChecker() { reset(); }
+  CubeChecker(const CubeChecker&) = delete;
+  CubeChecker& operator=(const CubeChecker&) = delete;
 
-  Sat check(const Cube& cube) {
-    for (const Formula& atom : cube) {
-      if (atom.isFalse()) return Sat::Unsat;
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
+
+  Sat check(const CubeView& cube) {
+    reset();
+    for (const Formula* atom : cube) {
+      if (atom->isFalse()) return Sat::Unsat;
     }
     // Saturation loop: substituting fresh bindings can simplify residual
     // atoms into new bindings, so re-run classification until stable.
@@ -208,14 +223,14 @@ class CubeChecker {
       changed_ = false;
       residuals_.clear();
       nePairs_.clear();
-      for (const Formula& atom : cube) {
-        if (!classify(atom)) return Sat::Unsat;
+      for (const Formula* atom : cube) {
+        if (!classify(*atom)) return Sat::Unsat;
       }
       if (!propagateSingletons()) return Sat::Unsat;
       if (!changed_) break;
     }
     // Every class must keep at least one candidate.
-    for (size_t i = 0; i < classes_.size(); ++i) {
+    for (size_t i = 0; i < numClasses_; ++i) {
       size_t rep = find(i);
       if (rep != i) continue;
       if (classes_[rep].bound.has_value()) continue;
@@ -236,17 +251,38 @@ class CubeChecker {
     std::vector<CVarId> members;
   };
 
+  /// Forgets the previous cube. Classes past numClasses_ are kept as
+  /// spare capacity and re-initialised by slot().
+  void reset() {
+    for (size_t s = 0; s < numClasses_; ++s) {
+      slotOf_[classes_[s].members.front()] = kNoSlot;
+    }
+    numClasses_ = 0;
+    parent_.clear();
+    residuals_.clear();
+    nePairs_.clear();
+    changed_ = false;
+  }
+
   size_t slot(CVarId var) {
-    auto it = slotOf_.find(var);
-    if (it != slotOf_.end()) return it->second;
-    size_t s = classes_.size();
-    slotOf_.emplace(var, s);
-    parent_.push_back(s);
-    Cls c;
+    if (var >= slotOf_.size()) slotOf_.resize(size_t{var} + 1, kNoSlot);
+    if (slotOf_[var] != kNoSlot) return slotOf_[var];
+    const size_t s = numClasses_;
+    if (s == classes_.size()) classes_.emplace_back();
+    Cls& c = classes_[s];
+    c.bound.reset();
+    c.excluded.clear();
+    c.lo = std::numeric_limits<int64_t>::min();
+    c.hi = std::numeric_limits<int64_t>::max();
+    c.type = reg_.info(var).type;
+    // A class's first member is the variable it was created for: merge()
+    // only appends, and reset() relies on it.
+    c.members.clear();
     c.members.push_back(var);
-    const auto& info = reg_.info(var);
-    c.type = info.type;
-    classes_.push_back(std::move(c));
+    parent_.push_back(s);
+    // Last, so a throw above leaves the class unclaimed.
+    slotOf_[var] = static_cast<uint32_t>(s);
+    ++numClasses_;
     return s;
   }
 
@@ -355,7 +391,8 @@ class CubeChecker {
   // Substitutes current bindings into `f`.
   Formula reduce(const Formula& f) {
     Assignment a;
-    std::vector<CVarId> vars;
+    std::vector<CVarId>& vars = reduceVars_;
+    vars.clear();
     f.collectVars(vars);
     for (CVarId v : vars) {
       size_t rep = find(slot(v));
@@ -517,7 +554,7 @@ class CubeChecker {
   }
 
   bool propagateSingletons() {
-    for (size_t i = 0; i < classes_.size(); ++i) {
+    for (size_t i = 0; i < numClasses_; ++i) {
       if (find(i) != i || classes_[i].bound.has_value()) continue;
       auto cand = candidates(i);
       if (!cand.has_value()) continue;
@@ -598,7 +635,7 @@ class CubeChecker {
       for (CVarId m : classes_[involved[i]].members) a.emplace(m, v);
     }
     // Also substitute already-bound classes so residuals fold to ground.
-    for (size_t s = 0; s < classes_.size(); ++s) {
+    for (size_t s = 0; s < numClasses_; ++s) {
       size_t rep = find(s);
       if (classes_[rep].bound.has_value()) {
         for (CVarId m : classes_[s].members) a.emplace(m, *classes_[rep].bound);
@@ -672,11 +709,15 @@ class CubeChecker {
   uint64_t* enumCount_;
   ResourceGuard* guard_;
 
-  std::unordered_map<CVarId, size_t> slotOf_;
+  // Slot of each c-variable in this cube, indexed by CVarId (kNoSlot when
+  // the cube has not mentioned it).
+  std::vector<uint32_t>& slotOf_;
   std::vector<size_t> parent_;
   std::vector<Cls> classes_;
+  size_t numClasses_ = 0;
   std::vector<Formula> residuals_;
   std::vector<std::pair<size_t, size_t>> nePairs_;
+  std::vector<CVarId> reduceVars_;
   bool changed_ = false;
 };
 
@@ -690,29 +731,25 @@ Sat NativeSolver::checkUncached(const Formula& f) {
     result = Sat::Sat;
   } else if (f.isFalse()) {
     result = Sat::Unsat;
+  } else if (!dnfFits(f, opts_.maxDnfCubes)) {
+    result = enumerate(f);
   } else {
-    auto dnf = toDnf(f, opts_.maxDnfCubes);
-    if (!dnf.has_value()) {
-      result = enumerate(f);
-    } else {
-      bool anyUnknown = false;
-      result = Sat::Unsat;
-      for (const Cube& cube : *dnf) {
-        if (guard_ != nullptr && !guard_->checkDeadline()) {
-          anyUnknown = true;
-          break;
-        }
-        CubeChecker checker(reg_, opts_.maxEnum, &stats_.enumerations,
-                            guard_);
-        Sat r = checker.check(cube);
-        if (r == Sat::Sat) {
-          result = Sat::Sat;
-          break;
-        }
-        if (r == Sat::Unknown) anyUnknown = true;
+    // The cubes toDnf() would list, in its order, up to the first Sat one.
+    CubeChecker checker(reg_, opts_.maxEnum, &stats_.enumerations, guard_,
+                        cubeSlots_);
+    bool anyUnknown = false;
+    bool sat = false;
+    forEachDnfCube(f, [&](const CubeView& cube) {
+      if (guard_ != nullptr && !guard_->checkDeadline()) {
+        anyUnknown = true;
+        return true;
       }
-      if (result != Sat::Sat && anyUnknown) result = Sat::Unknown;
-    }
+      Sat r = checker.check(cube);
+      if (r == Sat::Unknown) anyUnknown = true;
+      sat = r == Sat::Sat;
+      return sat;
+    });
+    result = sat ? Sat::Sat : anyUnknown ? Sat::Unknown : Sat::Unsat;
   }
   if (guard_ != nullptr && guard_->tripped() && result == Sat::Unknown) {
     ++stats_.budgetTrips;

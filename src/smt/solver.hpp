@@ -6,11 +6,14 @@
 //   * NativeSolver — a built-in decision procedure for the condition
 //     fragment fauré actually generates: equalities/disequalities over the
 //     c-domain, ordered comparisons on integers, and linear integer atoms
-//     (x_ + y_ + z_ = 1). It is complete whenever every variable involved
-//     in the residual arithmetic has a finite domain (link-state bits,
-//     enumerated subnets/servers/ports — all of the paper's workloads);
-//     otherwise it falls back to interval propagation and may answer
-//     Unknown.
+//     (x_ + y_ + z_ = 1). It walks the condition's DNF lazily, one cube
+//     at a time, and stops at the first satisfiable cube; a condition
+//     whose DNF would exceed a cube budget is decided by finite-domain
+//     enumeration instead. It is complete whenever every variable
+//     involved in the residual arithmetic has a finite domain (link-state
+//     bits, enumerated subnets/servers/ports — all of the paper's
+//     workloads); otherwise it falls back to interval propagation and may
+//     answer Unknown.
 //   * Z3Solver (z3_solver.hpp, optional) — the paper-faithful backend.
 //
 // Answers are three-valued. Tuple pruning treats Unknown as "keep", so an
@@ -19,6 +22,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "smt/formula.hpp"
@@ -236,7 +240,10 @@ class TracerScope {
 class NativeSolver : public SolverBase {
  public:
   struct Options {
-    /// DNF conversion budget before falling back to model enumeration.
+    /// DNF size budget: a condition whose DNF (as toDnf() would build it)
+    /// has more cubes is decided by model enumeration. Below it, the
+    /// cubes are visited lazily in toDnf() order up to the first Sat one;
+    /// the DNF itself is never built.
     size_t maxDnfCubes = 4096;
     /// Assignment budget for finite-domain enumeration.
     uint64_t maxEnum = 1u << 16;
@@ -262,10 +269,13 @@ class NativeSolver : public SolverBase {
   Sat checkUncached(const Formula& f) override;
 
  private:
-  Sat checkCube(const Cube& cube);
   Sat enumerate(const Formula& f);
 
   Options opts_;
+  /// The cube checker's variable-to-class table, indexed by CVarId. It
+  /// outlives the checks (each leaves every entry unset again), so a
+  /// check costs nothing for the registry variables it does not mention.
+  std::vector<uint32_t> cubeSlots_;
 };
 
 /// Enumerates every total assignment of `vars` (all must have finite

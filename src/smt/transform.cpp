@@ -1,5 +1,7 @@
 #include "smt/transform.hpp"
 
+#include <forward_list>
+
 #include "util/error.hpp"
 
 namespace faure::smt {
@@ -106,12 +108,148 @@ bool dnfRec(const Formula& f, std::vector<Cube>& out, size_t maxCubes) {
   return true;
 }
 
+// dnfRec's budget rule on cube counts alone: `out` stands for out.size(),
+// and every early return and comparison is dnfRec's.
+bool dnfCountRec(const Formula& f, size_t& out, size_t maxCubes) {
+  const auto& n = f.node();
+  switch (n.kind) {
+    case FormulaNode::Kind::False:
+      return true;
+    case FormulaNode::Kind::True:
+    case FormulaNode::Kind::Cmp:
+    case FormulaNode::Kind::Lin:
+      if (out >= maxCubes) return false;
+      ++out;
+      return true;
+    case FormulaNode::Kind::Not:
+      return dnfCountRec(Formula::neg(n.kids[0]), out, maxCubes);
+    case FormulaNode::Kind::Or: {
+      for (const auto& k : n.kids) {
+        if (!dnfCountRec(k, out, maxCubes)) return false;
+      }
+      return true;
+    }
+    case FormulaNode::Kind::And: {
+      size_t acc = 1;
+      for (const auto& k : n.kids) {
+        size_t kid = 0;
+        if (!dnfCountRec(k, kid, maxCubes)) return false;
+        if (acc * kid > maxCubes) return false;
+        acc *= kid;
+        if (acc == 0) return true;
+      }
+      if (out + acc > maxCubes) return false;
+      out += acc;
+      return true;
+    }
+  }
+  return true;
+}
+
+// forEachDnfCube's walk. `todo_` holds the conjuncts still to expand
+// into the current cube (next at the back). Atoms, Ands and Nots expand
+// in place; only an Or, the one choice point, recurses, so the depth is
+// the number of Or choices on a path, not the length of a cube.
+class CubeWalk {
+ public:
+  CubeWalk(CubeVisitFn fn, void* ctx) : fn_(fn), ctx_(ctx) {}
+
+  bool run(const Formula& f) {
+    todo_.push_back(&f);
+    return walk();
+  }
+
+ private:
+  bool walk() {
+    const size_t cubeMark = cube_.size();
+    const size_t undoMark = undo_.size();
+    // Expand every conjunct up to the next Or: atoms join the cube, an
+    // And is replaced by its kids, and a False conjunct means no cube.
+    bool noCube = false;
+    while (!noCube && !todo_.empty() &&
+           todo_.back()->kind() != FormulaNode::Kind::Or) {
+      const Formula* f = todo_.back();
+      todo_.pop_back();
+      undo_.push_back(f);
+      const FormulaNode& n = f->node();
+      switch (n.kind) {
+        case FormulaNode::Kind::False:
+          noCube = true;
+          break;
+        case FormulaNode::Kind::True:
+        case FormulaNode::Kind::Cmp:
+        case FormulaNode::Kind::Lin:
+          cube_.push_back(f);
+          break;
+        case FormulaNode::Kind::And:
+          for (auto k = n.kids.rbegin(); k != n.kids.rend(); ++k) {
+            todo_.push_back(&*k);
+          }
+          break;
+        case FormulaNode::Kind::Not:
+          // As in dnfRec: factory-built formulas are in NNF, a stray Not
+          // wraps an atom.
+          todo_.push_back(&negations_.emplace_front(Formula::neg(n.kids[0])));
+          break;
+        case FormulaNode::Kind::Or:
+          break;  // excluded by the loop condition
+      }
+    }
+    bool stopped = false;
+    if (!noCube) {
+      if (todo_.empty()) {
+        stopped = fn_(ctx_, cube_);
+      } else {
+        const Formula* f = todo_.back();
+        todo_.pop_back();
+        for (const Formula& k : f->node().kids) {
+          todo_.push_back(&k);
+          stopped = walk();
+          todo_.pop_back();
+          if (stopped) break;
+        }
+        todo_.push_back(f);
+      }
+    }
+    // Undo the expansion, newest first, so `todo_` is as it was on entry.
+    while (undo_.size() > undoMark) {
+      const Formula* f = undo_.back();
+      undo_.pop_back();
+      const FormulaNode& n = f->node();
+      if (n.kind == FormulaNode::Kind::And) {
+        todo_.resize(todo_.size() - n.kids.size());
+      } else if (n.kind == FormulaNode::Kind::Not) {
+        todo_.pop_back();
+      }
+      todo_.push_back(f);
+    }
+    cube_.resize(cubeMark);
+    return stopped;
+  }
+
+  CubeVisitFn fn_;
+  void* ctx_;
+  std::vector<const Formula*> todo_;
+  std::vector<const Formula*> undo_;
+  CubeView cube_;
+  std::forward_list<Formula> negations_;  // stable addresses for todo_
+};
+
 }  // namespace
 
 std::optional<std::vector<Cube>> toDnf(const Formula& f, size_t maxCubes) {
   std::vector<Cube> out;
   if (!dnfRec(f, out, maxCubes)) return std::nullopt;
   return out;
+}
+
+bool dnfFits(const Formula& f, size_t maxCubes) {
+  size_t out = 0;
+  return dnfCountRec(f, out, maxCubes);
+}
+
+bool forEachDnfCube(const Formula& f, CubeVisitFn fn, void* ctx) {
+  return CubeWalk(fn, ctx).run(f);
 }
 
 Formula fromDnf(const std::vector<Cube>& dnf) {

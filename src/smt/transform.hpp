@@ -2,6 +2,7 @@
 #pragma once
 
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +28,34 @@ using Cube = std::vector<Formula>;
 /// Returns std::nullopt if the DNF would exceed `maxCubes` (callers fall
 /// back to enumeration or an external solver).
 std::optional<std::vector<Cube>> toDnf(const Formula& f, size_t maxCubes);
+
+/// Exactly `toDnf(f, maxCubes).has_value()`, computed by counting cubes
+/// instead of building them, with the same budget rule (so a formula
+/// over budget is over budget for both).
+bool dnfFits(const Formula& f, size_t maxCubes);
+
+/// One DNF cube as pointers to its atoms inside the walked formula.
+using CubeView = std::vector<const Formula*>;
+using CubeVisitFn = bool (*)(void* ctx, const CubeView& cube);
+
+/// Visits the cubes of f's DNF one at a time, in exactly the order toDnf()
+/// lists them: an Or yields its kids' cubes kid by kid; an And yields the
+/// product of its kids' cubes, first kid varying slowest, each cube's
+/// atoms concatenated left to right. Only the current cube exists at any
+/// time. The walk stops as soon as `visit` returns true; the result says
+/// whether it did. There is no budget: check dnfFits() first.
+bool forEachDnfCube(const Formula& f, CubeVisitFn visit, void* ctx);
+
+template <class Visit>
+bool forEachDnfCube(const Formula& f, Visit&& visit) {
+  using V = std::remove_reference_t<Visit>;
+  return forEachDnfCube(
+      f,
+      [](void* ctx, const CubeView& cube) -> bool {
+        return (*static_cast<V*>(ctx))(cube);
+      },
+      const_cast<void*>(static_cast<const void*>(&visit)));
+}
 
 /// Rebuilds a Formula from a DNF.
 Formula fromDnf(const std::vector<Cube>& dnf);

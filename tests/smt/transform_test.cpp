@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace faure::smt {
 namespace {
 
@@ -82,6 +84,102 @@ TEST_F(TransformTest, DnfOfFalseIsEmpty) {
   auto dnf = toDnf(Formula::bottom(), 10);
   ASSERT_TRUE(dnf.has_value());
   EXPECT_TRUE(dnf->empty());
+}
+
+TEST_F(TransformTest, DnfFitsOnEdgeCases) {
+  Formula f = Formula::conj(
+      {Formula::disj2(eq(x_, 0), eq(y_, 1)),
+       Formula::disj2(eq(y_, 0), eq(z_, 1)),
+       Formula::disj2(eq(z_, 0), eq(x_, 1))});  // 8 cubes
+  EXPECT_FALSE(dnfFits(f, 7));
+  EXPECT_TRUE(dnfFits(f, 8));
+  EXPECT_TRUE(dnfFits(Formula::bottom(), 0));  // no cube at all
+  EXPECT_TRUE(dnfFits(Formula::top(), 1));
+  EXPECT_FALSE(dnfFits(Formula::top(), 0));
+  EXPECT_FALSE(dnfFits(eq(x_, 1), 0));
+}
+
+/// Random nested junctions over link bits, wide enough that many exceed
+/// the budgets below.
+Formula randomJunction(util::Rng& rng, const std::vector<CVarId>& bits,
+                       int depth) {
+  if (depth == 0 || rng.chance(0.25)) {
+    CVarId v = bits[rng.below(bits.size())];
+    CmpOp op = rng.chance(0.5) ? CmpOp::Eq : CmpOp::Ne;
+    return Formula::cmp(Value::cvar(v), op, Value::fromInt(rng.range(0, 1)));
+  }
+  std::vector<Formula> kids;
+  size_t n = 2 + rng.below(4);
+  for (size_t i = 0; i < n; ++i) {
+    kids.push_back(randomJunction(rng, bits, depth - 1));
+  }
+  return rng.chance(0.5) ? Formula::conj(std::move(kids))
+                         : Formula::disj(std::move(kids));
+}
+
+TEST(DnfFitsProperty, EqualsToDnfSucceeding) {
+  CVarRegistry reg;
+  std::vector<CVarId> bits;
+  for (int i = 0; i < 8; ++i) {
+    bits.push_back(reg.declareInt("l" + std::to_string(i) + "_", 0, 1));
+  }
+  util::Rng rng(4096);
+  size_t fits = 0;
+  size_t over = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Formula f = randomJunction(rng, bits, 1 + static_cast<int>(rng.below(5)));
+    for (size_t m : {size_t{1}, size_t{4}, size_t{64}, size_t{4096}}) {
+      const bool want = toDnf(f, m).has_value();
+      ASSERT_EQ(dnfFits(f, m), want)
+          << "budget " << m << " on " << f.toString(&reg);
+      ++(want ? fits : over);
+    }
+    // Around the exact cube count, where an off-by-one would show.
+    if (auto dnf = toDnf(f, 4096); dnf.has_value() && !dnf->empty()) {
+      for (size_t m = dnf->size() - 1; m <= dnf->size() + 1; ++m) {
+        ASSERT_EQ(dnfFits(f, m), toDnf(f, m).has_value())
+            << "budget " << m << " on " << f.toString(&reg);
+      }
+    }
+  }
+  // Both outcomes occur often enough for the comparison to mean something.
+  EXPECT_GE(fits, 1000u);
+  EXPECT_GE(over, 300u);
+}
+
+TEST(ForEachDnfCube, VisitsToDnfCubesInOrderAndStopsEarly) {
+  CVarRegistry reg;
+  std::vector<CVarId> bits;
+  for (int i = 0; i < 8; ++i) {
+    bits.push_back(reg.declareInt("l" + std::to_string(i) + "_", 0, 1));
+  }
+  util::Rng rng(77);
+  size_t compared = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    Formula f = randomJunction(rng, bits, 1 + static_cast<int>(rng.below(4)));
+    auto dnf = toDnf(f, 4096);
+    if (!dnf.has_value()) continue;
+    std::vector<Cube> walked;
+    const bool stopped = forEachDnfCube(f, [&](const CubeView& cube) {
+      Cube c;
+      for (const Formula* atom : cube) c.push_back(*atom);
+      walked.push_back(std::move(c));
+      return false;
+    });
+    EXPECT_FALSE(stopped);
+    ASSERT_EQ(walked, *dnf) << f.toString(&reg);
+    ++compared;
+    // Stopping at cube k visits exactly k + 1 cubes.
+    if (dnf->size() > 1) {
+      const size_t k = rng.below(dnf->size());
+      size_t visits = 0;
+      EXPECT_TRUE(forEachDnfCube(f, [&](const CubeView&) {
+        return visits++ == k;
+      }));
+      EXPECT_EQ(visits, k + 1);
+    }
+  }
+  EXPECT_GE(compared, 300u);
 }
 
 }  // namespace
