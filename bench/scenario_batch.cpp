@@ -19,9 +19,16 @@
 //           pool. Recorded as `scenario[N].batch.wall_seconds`, plus a
 //           speedup gauge.
 //
-// Every scenario's outcome bytes are compared across the two modes and
-// the harness aborts on any divergence, so a bench run is also a
-// fork-isolation check on a workload larger than the data/ fixtures.
+// Each mode runs kRepeats times per count, alternating seq and batch
+// and going round-robin over the counts, and the walls recorded (and
+// printed) are the medians: the batch walls fan out over several cores,
+// so one run swings with how many of them the host has free. The
+// report's counters add up all repeats.
+//
+// Every scenario's outcome bytes are compared across the two modes in
+// every repeat and the harness aborts on any divergence, so a bench run
+// is also a fork-isolation check on a workload larger than the data/
+// fixtures.
 //
 // Knobs: FAURE_SCEN_COUNTS (default "4,8"), FAURE_SCEN_THREADS (batch
 // fan-out width, default 4), FAURE_SCEN_EDITS (epochs per scenario,
@@ -29,6 +36,7 @@
 // FAURE_SOLVER_CACHE (verdict cache entries; 0 disables),
 // FAURE_BENCH_JSON (report path, default BENCH_scenario.json, "0"
 // skips), FAURE_BENCH_TRACE=0 detaches the tracer.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,6 +62,9 @@ constexpr const char* kProgram =
     "Deliver(f) :- R(f,1,%END%).\n"
     "Open(app,p) :- Acl(app,p), p < 1024.\n"
     "Lockdown(app) :- Acl(app,p), !Open(app,p).\n";
+
+/// Runs of each mode per count; the report carries the median walls.
+constexpr size_t kRepeats = 5;
 
 /// Protected links live only in this prefix — see whatif_incremental.cpp
 /// for why the count must stay O(1) as the chain grows.
@@ -138,6 +149,11 @@ std::vector<size_t> parseList(const char* text) {
   return out;
 }
 
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 size_t envSize(const char* name, size_t dflt) {
   if (const char* v = std::getenv(name); v != nullptr && v[0] != '\0') {
     const size_t n = static_cast<size_t>(std::strtoull(v, nullptr, 10));
@@ -175,51 +191,69 @@ int main() {
               "speedup");
 
   const std::string dbText = makeDbText(links);
-  bool diverged = false;
-  for (size_t n : counts) {
+  struct CountRuns {
     std::vector<fl::Scenario> scenarios;
-    for (size_t i = 0; i < n; ++i) {
-      scenarios.push_back(
+    std::vector<double> seqWalls, batchWalls;
+  };
+  std::vector<CountRuns> runs(counts.size());
+  for (size_t c = 0; c < counts.size(); ++c) {
+    for (size_t i = 0; i < counts[c]; ++i) {
+      runs[c].scenarios.push_back(
           {std::to_string(i + 1), makeScenarioScript(links, edits, i)});
     }
+  }
+  // Repeats go round-robin over the counts, so every count's median
+  // samples the same stretch of time: the gate divides all walls by one
+  // of them.
+  bool diverged = false;
+  for (size_t r = 0; r < kRepeats && !diverged; ++r) {
+    for (size_t c = 0; c < counts.size(); ++c) {
+      const size_t n = counts[c];
+      const std::vector<fl::Scenario>& scenarios = runs[c].scenarios;
+      util::Stopwatch watch;
+      std::vector<fl::ScenarioOutcome> seq;
+      watch.lap();
+      {
+        obs::Span span(tp, "scenario[n=" + std::to_string(n) + "][seq]");
+        for (const fl::Scenario& s : scenarios) {
+          fl::ScenarioSet one = makeSet(links, dbText, 1, tp);
+          std::vector<fl::ScenarioOutcome> out = one.evaluate({s});
+          seq.push_back(std::move(out.front()));
+        }
+      }
+      runs[c].seqWalls.push_back(watch.lap());
 
-    util::Stopwatch watch;
-    std::vector<fl::ScenarioOutcome> seq;
-    watch.lap();
-    {
-      obs::Span span(tp, "scenario[n=" + std::to_string(n) + "][seq]");
-      for (const fl::Scenario& s : scenarios) {
-        fl::ScenarioSet one = makeSet(links, dbText, 1, tp);
-        std::vector<fl::ScenarioOutcome> out = one.evaluate({s});
-        seq.push_back(std::move(out.front()));
+      std::vector<fl::ScenarioOutcome> batch;
+      watch.lap();
+      {
+        obs::Span span(tp, "scenario[n=" + std::to_string(n) + "][batch]");
+        fl::ScenarioSet set =
+            makeSet(links, dbText, static_cast<unsigned>(threads), tp);
+        batch = set.evaluate(scenarios);
+      }
+      runs[c].batchWalls.push_back(watch.lap());
+
+      for (size_t i = 0; i < n; ++i) {
+        if (seq[i].exitCode != 0 || batch[i].exitCode != 0) {
+          std::fprintf(stderr,
+                       "count %zu scenario %zu: nonzero exit (%d/%d)\n", n,
+                       i + 1, seq[i].exitCode, batch[i].exitCode);
+          diverged = true;
+        } else if (seq[i].output != batch[i].output) {
+          std::fprintf(stderr,
+                       "count %zu scenario %zu: FORK DIVERGENCE — batched "
+                       "output is not byte-identical to its one-shot run\n",
+                       n, i + 1);
+          diverged = true;
+        }
       }
     }
-    const double seqSeconds = watch.lap();
+  }
 
-    std::vector<fl::ScenarioOutcome> batch;
-    watch.lap();
-    {
-      obs::Span span(tp, "scenario[n=" + std::to_string(n) + "][batch]");
-      fl::ScenarioSet set =
-          makeSet(links, dbText, static_cast<unsigned>(threads), tp);
-      batch = set.evaluate(scenarios);
-    }
-    const double batchSeconds = watch.lap();
-
-    for (size_t i = 0; i < n; ++i) {
-      if (seq[i].exitCode != 0 || batch[i].exitCode != 0) {
-        std::fprintf(stderr, "count %zu scenario %zu: nonzero exit (%d/%d)\n",
-                     n, i + 1, seq[i].exitCode, batch[i].exitCode);
-        diverged = true;
-      } else if (seq[i].output != batch[i].output) {
-        std::fprintf(stderr,
-                     "count %zu scenario %zu: FORK DIVERGENCE — batched "
-                     "output is not byte-identical to its one-shot run\n",
-                     n, i + 1);
-        diverged = true;
-      }
-    }
-
+  for (size_t c = 0; c < counts.size(); ++c) {
+    const size_t n = counts[c];
+    const double seqSeconds = median(runs[c].seqWalls);
+    const double batchSeconds = median(runs[c].batchWalls);
     const double speedup = batchSeconds > 0.0 ? seqSeconds / batchSeconds : 0.0;
     std::printf("%6zu | %10.4f %10.4f %7.2fx\n", n, seqSeconds, batchSeconds,
                 speedup);

@@ -1,81 +1,53 @@
 #include "faure/session.hpp"
 
 #include "faurelog/textio.hpp"
-#include "smt/z3_solver.hpp"
 #include "util/error.hpp"
 
 namespace faure {
 
-Session::Session(Backend backend) : backend_(backend) {
-  if (backend_ == Backend::Z3) {
-    // Throws a typed SolverBackendError in builds without Z3.
-    solver_ = smt::requireZ3Solver(db_.cvars());
-  } else {
-    solver_ = std::make_unique<smt::NativeSolver>(db_.cvars());
-  }
-  setSolverCache(smt::VerdictCache::capacityFromEnv());
-  if (smt::SupervisionOptions env = smt::SupervisionOptions::fromEnv();
-      env.enabled) {
-    setSupervision(env);
-  }
+Session::Session(Backend backend) {
+  solverOpts_.backend = backend == Backend::Z3 ? "z3" : "native";
+  solverOpts_.supervision = smt::SupervisionOptions::fromEnv();
+  rebuildSolver(/*keepCache=*/false);
+}
+
+void Session::rebuildSolver(bool keepCache) {
+  inc_.reset();  // the watch engine holds a raw pointer to the old stack
+  std::unique_ptr<smt::VerdictCache> cache;
+  if (keepCache) cache = std::move(stack_.cache);
+  stack_ = smt::buildSolverStack(db_.cvars(), solverOpts_, cache.get());
+  if (cache != nullptr) stack_.cache = std::move(cache);
+  smt::attachGuardAndTracer(*stack_.solver, guard_, tracer_);
 }
 
 void Session::setSolverCache(size_t entries) {
-  if (entries == 0) {
-    solver_->setVerdictCache(nullptr);
-    cache_.reset();
-    return;
-  }
-  cache_ = std::make_unique<smt::VerdictCache>(db_.cvars(), entries);
-  solver_->setVerdictCache(cache_.get());
+  solverOpts_.cacheEntries = entries;
+  rebuildSolver(/*keepCache=*/false);
 }
 
-smt::SolverBase& Session::solver() { return *solver_; }
+smt::SolverBase& Session::solver() { return *stack_.solver; }
 
 smt::SupervisedSolver* Session::supervisedSolver() {
-  return dynamic_cast<smt::SupervisedSolver*>(solver_.get());
+  return dynamic_cast<smt::SupervisedSolver*>(stack_.solver.get());
 }
 
 void Session::setSupervision(const smt::SupervisionOptions& opts) {
-  inc_.reset();  // the watch engine holds a raw pointer to the old chain
-  if (smt::SupervisedSolver* sup = supervisedSolver(); sup != nullptr) {
-    // Unwrap first — takeBackend(0) hands the verdict cache back to the
-    // primary — then re-wrap below if the new options are enabled.
-    std::unique_ptr<smt::SolverBase> inner = sup->takeBackend(0);
-    solver_ = std::move(inner);  // destroys the old wrapper
-  }
-  if (!opts.enabled) {
-    solver_->setTracer(tracer_);
-    return;
-  }
-  auto sup = std::make_unique<smt::SupervisedSolver>(db_.cvars(), opts);
-  sup->addBackend(backend_ == Backend::Z3 ? "z3" : "native",
-                  std::move(solver_));
-  if (opts.failover) sup->addNativeFallback();
-  solver_ = std::move(sup);
-  solver_->setTracer(tracer_);
+  solverOpts_.supervision = opts;
+  rebuildSolver(/*keepCache=*/true);
 }
 
 void Session::setResourceLimits(const ResourceLimits& limits) {
   guard_.arm(limits);
+  smt::attachGuardAndTracer(*stack_.solver, guard_, tracer_);
 }
 
 void Session::setTracer(obs::Tracer* tracer) {
   tracer_ = tracer;
-  solver_->setTracer(tracer);
-  if (tracer != nullptr) {
-    // Budget trips become first-class trace events carrying the guard's
-    // machine-readable reason (e.g. "deadline(limit=0.5s)").
-    guard_.onTrip([tracer](Budget, const std::string& reason) {
-      tracer->event("budget.trip", reason);
-    });
-  } else {
-    guard_.onTrip(nullptr);
-  }
+  smt::attachGuardAndTracer(*stack_.solver, guard_, tracer_);
 }
 
 void Session::resetStats() {
-  solver_->resetStats();
+  stack_.solver->resetStats();
   if (tracer_ != nullptr) tracer_->metrics().reset();
 }
 
@@ -102,7 +74,7 @@ fl::EvalResult Session::run(std::string_view programText) {
   opts.guard = beginOperation();
   opts.tracer = tracer_;
   obs::Span span(tracer_, "session.run");
-  fl::EvalResult res = fl::evalFaure(program, db_, solver_.get(), opts);
+  fl::EvalResult res = fl::evalFaure(program, db_, stack_.solver.get(), opts);
   for (auto& [pred, table] : res.idb) {
     db_.put(table);
   }
@@ -115,7 +87,7 @@ fl::ScenarioSet Session::scenarios(std::string_view programText) {
   sopts.eval = opts_;
   sopts.eval.tracer = tracer_;
   sopts.limits = guard_.active() ? guard_.limits() : ResourceLimits{};
-  sopts.solverName = backend_ == Backend::Z3 ? "z3" : "native";
+  sopts.solver = solverOpts_;
   return fl::ScenarioSet(std::move(program), db_.clone(), std::move(sopts));
 }
 
@@ -125,7 +97,7 @@ fl::EvalResult Session::watch(std::string_view programText) {
   opts.guard = guard_.active() ? &guard_ : nullptr;
   opts.tracer = tracer_;
   inc_ = std::make_unique<fl::IncrementalEngine>(std::move(program), db_,
-                                                 solver_.get(), opts);
+                                                 stack_.solver.get(), opts);
   return reevaluate();
 }
 
@@ -159,9 +131,9 @@ verify::StateCheck Session::check(std::string_view constraintText,
                                   std::string name) {
   verify::Constraint c =
       verify::Constraint::parse(std::move(name), constraintText, db_.cvars());
-  smt::ResourceGuardScope scope(solver_.get(), beginOperation());
+  smt::ResourceGuardScope scope(stack_.solver.get(), beginOperation());
   obs::Span span(tracer_, "session.check");
-  return verify::RelativeVerifier::checkOnState(c, db_, *solver_);
+  return verify::RelativeVerifier::checkOnState(c, db_, *stack_.solver);
 }
 
 verify::Verdict Session::subsumed(

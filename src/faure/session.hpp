@@ -20,7 +20,7 @@
 #include "faurelog/eval.hpp"
 #include "faurelog/incremental.hpp"
 #include "faurelog/scenario.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "verify/verifier.hpp"
 
 namespace faure {
@@ -59,7 +59,7 @@ class Session {
   /// run()/check()/subsumed() calls; each call re-arms the guard, so a
   /// deadline applies per operation. Pass {} (all-zero limits) to
   /// disable. While disabled, behaviour is identical to an ungoverned
-  /// session.
+  /// session; while armed, the guard also governs direct solver() checks.
   void setResourceLimits(const ResourceLimits& limits);
 
   /// The session guard — observe trip state after a degraded call, or
@@ -87,19 +87,19 @@ class Session {
   /// untouched.
   void resetStats();
 
-  /// The session solver (rebuilt if you exchange the registry wholesale).
+  /// The session solver: the outermost layer of its solver stack
+  /// (smt/solver_stack.hpp).
   smt::SolverBase& solver();
 
   /// Fault-tolerant solver execution (smt/supervised_solver.hpp,
-  /// DESIGN.md §9): wraps the session solver in a SupervisedSolver —
-  /// per-attempt watchdog, bounded deterministic retry, circuit breaker,
-  /// optional native failover, optional seeded chaos injection. Passing
-  /// opts with enabled == false unwraps back to the bare backend. The
-  /// verdict cache moves with the wrap either way; verdicts shaped by
-  /// supervision are never admitted into it. A session constructed while
-  /// FAURE_RETRIES / FAURE_SOLVER_TIMEOUT_MS / FAURE_FAILOVER /
-  /// FAURE_CHAOS_SEED are set starts supervised (SupervisionOptions::
-  /// fromEnv()).
+  /// DESIGN.md §9): rebuilds the session stack with `opts` — per-attempt
+  /// watchdog, bounded deterministic retry, circuit breaker, optional
+  /// native failover, optional seeded chaos injection. Passing opts with
+  /// enabled == false rebuilds the bare backend. The session keeps its
+  /// verdict cache object either way; verdicts shaped by supervision are
+  /// never admitted into it. A session constructed while FAURE_RETRIES /
+  /// FAURE_SOLVER_TIMEOUT_MS / FAURE_FAILOVER / FAURE_CHAOS_SEED are set
+  /// starts supervised (SupervisionOptions::fromEnv()).
   void setSupervision(const smt::SupervisionOptions& opts);
 
   /// The supervision wrapper when active, else null — read
@@ -112,11 +112,12 @@ class Session {
   /// FAURE_SOLVER_CACHE variable, default 65536). The cache is shared by
   /// every run()/check()/subsumed() call, so a verification session
   /// amortizes the checks its evaluations already paid for. Resizing
-  /// drops all cached verdicts. Results are byte-identical at any
-  /// setting — only physical solver work (and solver.cache.* metrics)
-  /// changes.
+  /// rebuilds the stack: it drops all cached verdicts and solver
+  /// statistics and ends an active watch. Results are byte-identical at
+  /// any setting — only physical solver work (and solver.cache.*
+  /// metrics) changes.
   void setSolverCache(size_t entries);
-  smt::VerdictCache* solverCache() const { return cache_.get(); }
+  smt::VerdictCache* solverCache() const { return stack_.cache.get(); }
 
   /// Parses database text (docs/LANGUAGE.md) into the session database.
   /// Declarations and rows accumulate across calls; table redeclaration
@@ -139,9 +140,9 @@ class Session {
   /// the rules whose bodies touch a changed relation. Unlike run(), a
   /// watched evaluation never stores derived tables back into the
   /// database — the EDB stays pristine so every epoch re-derives from
-  /// the same base. Returns the epoch-0 result. A later load(), run()
-  /// or setSupervision() ends the watch (the engine would otherwise see
-  /// a database or solver it did not track).
+  /// the same base. Returns the epoch-0 result. A later load(), run(),
+  /// setSupervision() or setSolverCache() ends the watch (the engine
+  /// would otherwise see a database or solver it did not track).
   fl::EvalResult watch(std::string_view programText);
 
   /// Delta API of the active watch — thin forwarding over
@@ -165,10 +166,12 @@ class Session {
   /// (DESIGN.md §12): the returned ScenarioSet owns a deep copy of the
   /// current database plus `programText` parsed against it, inherits
   /// the session's evaluation defaults (options().threads becomes the
-  /// scenario fan-out width), tracer, backend choice and resource
-  /// limits (applied *per scenario*), and runs its own shared verdict
-  /// cache. The session itself is never touched by scenario evaluation,
-  /// so watches, runs and scenario batches compose freely.
+  /// scenario fan-out width), tracer, resource limits (applied *per
+  /// scenario*) and whole solver stack description: backend, supervision
+  /// (chaos plan included) and cache size. It runs its own shared
+  /// verdict cache of that size. The session itself is never touched by
+  /// scenario evaluation, so watches, runs and scenario batches compose
+  /// freely.
   fl::ScenarioSet scenarios(std::string_view programText);
 
   /// Category (i)/(ii) tests against this session's registry.
@@ -189,10 +192,14 @@ class Session {
   /// Per-operation prologue: optional stats reset, then guard re-arm.
   ResourceGuard* beginOperation();
 
-  Backend backend_;
+  /// Rebuilds the solver stack from solverOpts_ (ending any watch) and
+  /// re-attaches the guard and tracer; `keepCache` carries the session's
+  /// cache object over to the new stack.
+  void rebuildSolver(bool keepCache);
+
   rel::Database db_;
-  std::unique_ptr<smt::VerdictCache> cache_;  // before solver_: it outlives it
-  std::unique_ptr<smt::SolverBase> solver_;
+  smt::SolverStackOptions solverOpts_;
+  smt::SolverStack stack_;
   fl::EvalOptions opts_;
   ResourceGuard guard_;
   obs::Tracer* tracer_ = nullptr;

@@ -94,20 +94,6 @@ class FaureEvaluator {
       throw EvalError(
           "evalFaure: solver required for pruning / merge subsumption");
     }
-    // Supervision (DESIGN.md §9): wrap the caller's solver for the
-    // duration of this evaluation. Must happen before the SolverPool is
-    // built so lanes clone the supervised chain, not the bare backend.
-    if (opts_.supervision && opts_.supervision->enabled &&
-        solver_ != nullptr &&
-        dynamic_cast<smt::SupervisedSolver*>(solver_) == nullptr) {
-      supervisionWrap_ = std::make_unique<smt::SupervisedSolver>(
-          db.cvars(), *opts_.supervision);
-      supervisionWrap_->addBackend("primary", solver_);  // borrowed
-      if (opts_.supervision->failover) {
-        supervisionWrap_->addNativeFallback();
-      }
-      solver_ = supervisionWrap_.get();
-    }
     if (threads_ > 1) {
       // threads_ counts total lanes: the engine thread participates in
       // every pool barrier, so spawn one worker fewer.
@@ -1001,14 +987,14 @@ class FaureEvaluator {
       std::vector<size_t> wildRows;
       for (size_t r = range.lo; r < range.hi; ++r) {
         bool wild = false;
-        size_t h = 0xcbf29ce484222325ULL;
+        size_t h = rel::JoinIndex::hashInit();
         for (size_t a : keyArgs) {
           const Value& v = rows[r].vals[a];
           if (v.isCVar()) {
             wild = true;
             break;
           }
-          h = (h ^ v.hash()) * 1099511628211ULL;
+          h = rel::JoinIndex::hashStep(h, v);
         }
         if (wild) {
           wildRows.push_back(r);
@@ -1020,7 +1006,7 @@ class FaureEvaluator {
         // A probe value that is itself a c-variable matches any row value,
         // so the index cannot be used for this frame.
         bool probeWild = false;
-        size_t h = 0xcbf29ce484222325ULL;
+        size_t h = rel::JoinIndex::hashInit();
         for (size_t a : keyArgs) {
           const Pos& pos = positions[a];
           const Value& v =
@@ -1029,7 +1015,7 @@ class FaureEvaluator {
             probeWild = true;
             break;
           }
-          h = (h ^ v.hash()) * 1099511628211ULL;
+          h = rel::JoinIndex::hashStep(h, v);
         }
         if (probeWild) {
           for (size_t r = range.lo; r < range.hi; ++r) extend(f, rows[r]);
@@ -1458,11 +1444,6 @@ class FaureEvaluator {
   std::vector<std::string> ruleTags_;
   std::vector<RuleMetrics> ruleMetrics_;
   RuleMetrics* curRule_ = nullptr;  // set around derive() by evalRule
-
-  // Supervision wrapper around the caller's (borrowed) solver; solver_
-  // points at it when EvalOptions::supervision is enabled. Destroying it
-  // restores the caller's verdict cache to the wrapped backend.
-  std::unique_ptr<smt::SupervisedSolver> supervisionWrap_;
 
   // Parallel execution (null / 1 in serial mode).
   size_t threads_ = 1;

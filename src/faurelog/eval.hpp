@@ -26,7 +26,6 @@
 #include "obs/trace.hpp"
 #include "relational/database.hpp"
 #include "smt/solver.hpp"
-#include "smt/supervised_solver.hpp"
 #include "util/resource_guard.hpp"
 
 namespace faure::fl {
@@ -94,16 +93,6 @@ struct EvalOptions {
   /// stderr. Unset (the default) consults the FAURE_PLAN environment
   /// variable and falls back to On.
   std::optional<PlanMode> plan;
-  /// Fault tolerance (smt/supervised_solver.hpp, DESIGN.md §9): when set
-  /// and enabled, the evaluation runs its checks through a
-  /// SupervisedSolver wrapped around the caller's solver for the
-  /// duration of the run (watchdog, retries, breaker, optional native
-  /// failover, optional chaos injection). The caller's solver keeps its
-  /// verdict cache afterwards; verdicts shaped by supervision are never
-  /// admitted into it. Unset (the default) leaves the solver untouched —
-  /// evalFaure never reads supervision settings from the environment;
-  /// that activation path belongs to Session and the CLI.
-  std::optional<smt::SupervisionOptions> supervision;
   /// Observability (obs/trace.hpp): evaluation records an
   /// eval → stratum → rule span tree and mirrors its statistics —
   /// aggregate, per-stratum and per-rule — into the tracer's metrics

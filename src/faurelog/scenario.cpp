@@ -5,7 +5,6 @@
 
 #include "faurelog/textio.hpp"
 #include "obs/trace.hpp"
-#include "smt/z3_solver.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -75,12 +74,9 @@ ScenarioSet::ScenarioSet(dl::Program program, rel::Database base,
     : p_(std::move(program)),
       base_(std::make_unique<rel::Database>(std::move(base))),
       opts_(std::move(opts)) {
-  if (opts_.cacheEntries > 0) {
-    cache_ = std::make_unique<smt::VerdictCache>(base_->cvars(),
-                                                 opts_.cacheEntries);
-  }
-  // Fail fast on a bad solver name instead of from a worker thread.
-  makeForkSolver();
+  // Building the base run's stack creates the shared cache and fails
+  // fast on a bad solver name instead of from a worker thread.
+  cache_ = smt::buildSolverStack(base_->cvars(), opts_.solver).cache;
 }
 
 EvalOptions ScenarioSet::innerOpts() const {
@@ -92,38 +88,21 @@ EvalOptions ScenarioSet::innerOpts() const {
   return o;
 }
 
-std::unique_ptr<smt::SolverBase> ScenarioSet::makeForkSolver() {
-  std::unique_ptr<smt::SolverBase> solver;
-  if (opts_.solverName == "z3") {
-    solver = smt::makeZ3Solver(base_->cvars());
-    if (solver == nullptr) throw EvalError("this build has no Z3 backend");
-  } else if (opts_.solverName == "native") {
-    solver = std::make_unique<smt::NativeSolver>(base_->cvars());
-  } else {
-    throw EvalError("unknown solver '" + opts_.solverName + "'");
-  }
-  if (cache_ != nullptr) solver->setVerdictCache(cache_.get());
-  if (opts_.supervision.enabled) {
-    auto wrapped = std::make_unique<smt::SupervisedSolver>(base_->cvars(),
-                                                           opts_.supervision);
-    wrapped->addBackend(opts_.solverName, std::move(solver));
-    if (opts_.supervision.failover) wrapped->addNativeFallback();
-    solver = std::move(wrapped);
-  }
-  return solver;
+smt::SolverStack ScenarioSet::makeForkStack() const {
+  return smt::buildSolverStack(base_->cvars(), opts_.solver, cache_.get());
 }
 
 const EvalResult& ScenarioSet::prepare() {
   if (prepared_) return baseResult_;
   obs::Span span(opts_.eval.tracer, "serve.prepare");
-  auto solver = makeForkSolver();
+  smt::SolverStack stack = makeForkStack();
   ResourceGuard guard(opts_.limits);
   EvalOptions eopts = innerOpts();
   if (guard.active()) {
     eopts.guard = &guard;
-    solver->setGuard(&guard);
+    stack.solver->setGuard(&guard);
   }
-  IncrementalEngine eng(p_, *base_, solver.get(), eopts);
+  IncrementalEngine eng(p_, *base_, stack.solver.get(), eopts);
   if (opts_.mode >= 0) eng.setIncremental(opts_.mode == 1);
   baseResult_ = eng.reevaluate();
   baseState_ = eng.state();
@@ -162,14 +141,14 @@ ScenarioOutcome ScenarioSet::evaluateOne(const Scenario& s) {
     return out;
   }
   if (edits.empty()) return out;  // epoch 0 only — served from the snapshot
-  auto solver = makeForkSolver();
+  smt::SolverStack stack = makeForkStack();
   ResourceGuard guard(opts_.limits);
   EvalOptions eopts = innerOpts();
   if (guard.active()) {
     eopts.guard = &guard;
-    solver->setGuard(&guard);
+    stack.solver->setGuard(&guard);
   }
-  IncrementalEngine eng(p_, fork, solver.get(), eopts);
+  IncrementalEngine eng(p_, fork, stack.solver.get(), eopts);
   if (opts_.mode >= 0) eng.setIncremental(opts_.mode == 1);
   eng.adoptState(baseState_);
   try {

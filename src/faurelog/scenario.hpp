@@ -40,8 +40,7 @@
 #include "faurelog/eval.hpp"
 #include "faurelog/incremental.hpp"
 #include "relational/database.hpp"
-#include "smt/supervised_solver.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/resource_guard.hpp"
 
 namespace faure::fl {
@@ -81,18 +80,15 @@ struct ScenarioSetOptions {
   /// Per-scenario resource governance: every scenario arms its own
   /// guard from these limits, re-armed per epoch like one CLI run.
   ResourceLimits limits;
-  /// Per-fork solver supervision (DESIGN.md §9); the chaos plan, being
-  /// read-only, is shared across forks.
-  smt::SupervisionOptions supervision;
+  /// The solver stack every fork builds (smt/solver_stack.hpp). One
+  /// verdict cache of `solver.cacheEntries` is shared by the base run
+  /// and every fork (0 disables); supervision wraps each fork's stack,
+  /// and the read-only chaos plan is shared across forks.
+  smt::SolverStackOptions solver;
   /// -1: FAURE_INCREMENTAL env; 0: full-recompute oracle; 1: incremental.
   int mode = -1;
   /// Print only this relation ("" = all) — the CLI's --relation.
   std::string relation;
-  /// Shared verdict-cache capacity (0 disables; the default follows
-  /// FAURE_SOLVER_CACHE like every other entry point).
-  size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  /// "native" or "z3".
-  std::string solverName = "native";
 };
 
 /// Splits a `---`-delimited scenarios file (the CLI's
@@ -106,7 +102,8 @@ class ScenarioSet {
  public:
   /// Takes ownership of the base snapshot; `program` must be parsed
   /// against its registry. Throws EvalError for an unknown solver name
-  /// or an unstratifiable program (via the base engine).
+  /// or an unstratifiable program (via the base engine), and
+  /// SolverBackendError for "z3" in a build without Z3.
   ScenarioSet(dl::Program program, rel::Database base,
               ScenarioSetOptions opts = {});
 
@@ -132,7 +129,7 @@ class ScenarioSet {
 
  private:
   EvalOptions innerOpts() const;
-  std::unique_ptr<smt::SolverBase> makeForkSolver();
+  smt::SolverStack makeForkStack() const;
   ScenarioOutcome evaluateOne(const Scenario& s);
 
   dl::Program p_;
@@ -142,9 +139,9 @@ class ScenarioSet {
   std::unique_ptr<rel::Database> base_;
   ScenarioSetOptions opts_;
   /// One cache for the base run and every fork (bound to the base
-  /// registry; fork solvers are constructed over that same registry, so
-  /// the pointer-identity check in setVerdictCache holds). Null when
-  /// cacheEntries == 0.
+  /// registry; fork stacks are built over that same registry, so the
+  /// pointer-identity check in setVerdictCache holds). Null when
+  /// solver.cacheEntries == 0.
   std::unique_ptr<smt::VerdictCache> cache_;
   bool prepared_ = false;
   EvalResult baseResult_;

@@ -51,16 +51,6 @@ SupervisedSolver::SupervisedSolver(const CVarRegistry& reg,
                                    SupervisionOptions opts)
     : SolverBase(reg), opts_(std::move(opts)) {}
 
-SupervisedSolver::~SupervisedSolver() {
-  if (restoreCacheTo_ != nullptr) {
-    restoreCacheTo_->setVerdictCache(restoreCache_);
-  }
-  for (const BorrowedWiring& w : restoreWiring_) {
-    w.solver->setTracer(w.tracer);
-    w.solver->setGuard(w.guard);
-  }
-}
-
 void SupervisedSolver::adoptCacheFrom(SolverBase& backend, bool isPrimary) {
   // Caching lives at the supervision level only: inner backends never
   // consult or populate a cache, so the lastCheckCacheable_ gate in
@@ -85,53 +75,12 @@ void SupervisedSolver::addBackend(std::string name,
   backend->setGuard(nullptr);
   Backend be;
   be.name = std::move(name);
-  be.solver = backend.get();
-  be.owned = std::move(backend);
-  chain_.push_back(std::move(be));
-}
-
-void SupervisedSolver::addBackend(std::string name, SolverBase* backend) {
-  if (backend == nullptr) {
-    throw EvalError("SupervisedSolver: null backend");
-  }
-  if (chain_.empty() && backend->verdictCache() != nullptr &&
-      cache_ == nullptr) {
-    restoreCacheTo_ = backend;
-    restoreCache_ = backend->verdictCache();
-  }
-  adoptCacheFrom(*backend, chain_.empty());
-  if (backend->tracer() != nullptr || backend->guard() != nullptr) {
-    restoreWiring_.push_back(
-        BorrowedWiring{backend, backend->tracer(), backend->guard()});
-    backend->setTracer(nullptr);
-    backend->setGuard(nullptr);
-  }
-  Backend be;
-  be.name = std::move(name);
-  be.solver = backend;
+  be.solver = std::move(backend);
   chain_.push_back(std::move(be));
 }
 
 void SupervisedSolver::addNativeFallback() {
   addBackend("native", std::make_unique<NativeSolver>(reg_));
-}
-
-std::unique_ptr<SolverBase> SupervisedSolver::takeBackend(size_t i) {
-  if (i >= chain_.size()) {
-    throw EvalError("SupervisedSolver::takeBackend: index out of range");
-  }
-  Backend& be = chain_[i];
-  if (be.owned == nullptr) {
-    throw EvalError("SupervisedSolver::takeBackend: backend is borrowed");
-  }
-  std::unique_ptr<SolverBase> out = std::move(be.owned);
-  if (i == 0 && cache_ != nullptr) {
-    VerdictCache* cache = cache_;
-    setVerdictCache(nullptr);
-    out->setVerdictCache(cache);
-  }
-  chain_.erase(chain_.begin() + static_cast<ptrdiff_t>(i));
-  return out;
 }
 
 void SupervisedSolver::setTracer(obs::Tracer* tracer) {
@@ -305,7 +254,7 @@ SupervisedSolver::Attempt SupervisedSolver::runAttempt(Backend& be,
     watchdog.arm(limits);
     inner = &watchdog;
   }
-  ResourceGuardScope innerScope(be.solver, inner);
+  ResourceGuardScope innerScope(be.solver.get(), inner);
   const SolverStats before = be.solver->stats();
   try {
     out.verdict = be.solver->check(f);

@@ -60,9 +60,9 @@
 namespace faure::smt {
 
 struct SupervisionOptions {
-  /// Master switch for env/Session/CLI wiring: fromEnv() returns
-  /// enabled=false when no supervision variable is set, and Session /
-  /// evalFaure only wrap when it holds. A directly-constructed
+  /// Master switch for stack building: fromEnv() returns enabled=false
+  /// when no supervision variable is set, and buildSolverStack()
+  /// (smt/solver_stack.hpp) only wraps when it holds. A directly-constructed
   /// SupervisedSolver ignores it.
   bool enabled = false;
   /// Retry attempts after the first failure of one backend (so a
@@ -71,8 +71,8 @@ struct SupervisionOptions {
   /// Per-attempt watchdog deadline in milliseconds; 0 disables. The
   /// effective deadline is min(watchdogMs, outer guard remaining).
   double watchdogMs = 0.0;
-  /// Append a NativeSolver as the chain's last resort (Session / CLI
-  /// honor this when wrapping; addNativeFallback() does it directly).
+  /// Append a NativeSolver as the chain's last resort (buildSolverStack
+  /// honors this when wrapping; addNativeFallback() does it directly).
   bool failover = false;
   /// Backoff before retry k sleeps backoffBaseMs · 2^k · (0.5 + 0.5·j),
   /// j a deterministic jitter from `seed`. 0 (default) skips sleeping
@@ -122,7 +122,6 @@ class SupervisedSolver : public SolverBase {
   enum class BreakerState : uint8_t { Closed, Open, HalfOpen };
 
   SupervisedSolver(const CVarRegistry& reg, SupervisionOptions opts);
-  ~SupervisedSolver() override;
 
   /// Appends an owned backend to the failover chain. The first backend
   /// added is the primary; if it carries a VerdictCache the wrapper
@@ -131,19 +130,8 @@ class SupervisedSolver : public SolverBase {
   /// any cache.
   void addBackend(std::string name, std::unique_ptr<SolverBase> backend);
 
-  /// Appends a borrowed backend (the caller keeps ownership; it must
-  /// outlive the wrapper). An adopted cache is restored to the backend
-  /// when the wrapper is destroyed — this is how evalFaure supervises a
-  /// caller-owned solver for the duration of one evaluation.
-  void addBackend(std::string name, SolverBase* backend);
-
   /// Appends a NativeSolver last resort named "native".
   void addNativeFallback();
-
-  /// Detaches and returns backend `i` (owning backends only; throws
-  /// EvalError for borrowed ones), restoring the wrapper's cache to it.
-  /// Session::setSupervision uses this to unwrap.
-  std::unique_ptr<SolverBase> takeBackend(size_t i);
 
   size_t backends() const { return chain_.size(); }
   const std::string& backendName(size_t i) const { return chain_[i].name; }
@@ -167,8 +155,7 @@ class SupervisedSolver : public SolverBase {
  private:
   struct Backend {
     std::string name;
-    std::unique_ptr<SolverBase> owned;
-    SolverBase* solver = nullptr;  // == owned.get() when owning
+    std::unique_ptr<SolverBase> solver;
     // Circuit breaker (count-based cooldown for determinism).
     BreakerState breaker = BreakerState::Closed;
     int consecutiveFailures = 0;
@@ -203,20 +190,6 @@ class SupervisedSolver : public SolverBase {
   SupervisionStats sup_;
   std::vector<Backend> chain_;
   int laneId_ = -1;  // SolverPool lane of a clone; -1 off-pool
-  /// Borrowed primary whose cache the wrapper adopted; restored in the
-  /// destructor.
-  SolverBase* restoreCacheTo_ = nullptr;
-  VerdictCache* restoreCache_ = nullptr;
-  /// Borrowed backends whose tracer/guard the wrapper stripped on add
-  /// (charging and mirroring happen once, at this level); restored in
-  /// the destructor.
-  struct BorrowedWiring {
-    SolverBase* solver = nullptr;
-    obs::Tracer* tracer = nullptr;
-    ResourceGuard* guard = nullptr;
-  };
-  std::vector<BorrowedWiring> restoreWiring_;
-
   struct SuperviseHandles {
     obs::Counter* retries = nullptr;
     obs::Counter* failovers = nullptr;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "faurelog/eval.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/error.hpp"
 #include "verify/unfold.hpp"
 
@@ -141,21 +142,20 @@ bool ruleCovered(const Rule& r, const dl::Program& constraintUnion,
   }
   premise.collectVars(universal);
 
-  smt::NativeSolver solver(canonical.cvars(), opts.solverOptions);
-  solver.setGuard(opts.guard);
-  solver.setTracer(opts.tracer);
   // The canonical database clones the source registry and then freezes
   // rule-local variables into it, so a session-level cache (bound to the
   // *source* registry) cannot be shared here; a rule-local cache still
   // amortizes the repeated conditions of the constraint-union fixpoint
   // and the final premise-implication below.
-  size_t cacheCap = opts.solverCacheCapacity.value_or(
-      smt::VerdictCache::capacityFromEnv());
-  std::unique_ptr<smt::VerdictCache> cache;
-  if (cacheCap > 0) {
-    cache = std::make_unique<smt::VerdictCache>(canonical.cvars(), cacheCap);
-    solver.setVerdictCache(cache.get());
+  smt::SolverStackOptions stackOpts;
+  stackOpts.native = opts.solverOptions;
+  if (opts.solverCacheCapacity) {
+    stackOpts.cacheEntries = *opts.solverCacheCapacity;
   }
+  smt::SolverStack stack = smt::buildSolverStack(canonical.cvars(), stackOpts);
+  smt::SolverBase& solver = *stack.solver;
+  solver.setGuard(opts.guard);
+  solver.setTracer(opts.tracer);
   if (solver.check(premise) == smt::Sat::Unsat) {
     return true;  // the target rule can never fire: vacuously covered
   }

@@ -313,6 +313,46 @@ TEST(SessionTest, SupervisionEnvironmentActivatesAtConstruction) {
   EXPECT_EQ(normal.supervisedSolver(), nullptr);
 }
 
+TEST(SessionTest, ScenariosInheritTheSessionSupervision) {
+  clearSupervisionEnv();
+  const char* db =
+      "var x_ int 0 1\n"
+      "var y_ int 0 2\n"
+      "table F(flow sym, from int, to int)\n"
+      "row F f0 1 2 | x_ = 1\n"
+      "row F f0 2 3 | y_ = 1\n"
+      "row F f0 3 4 | x_ = 0\n"
+      "row F f0 4 5 | y_ = 2\n"
+      "row F f0 5 6\n"
+      "row F f0 2 5 | y_ = 0\n";
+  const std::vector<fl::Scenario> scenarios = {
+      {"1", "-F(f0, 5, 6)\n"},
+      {"2", "+F(f0, 6, 1)\n"},
+      {"3", "-F(f0, 2, 3)\n+F(f0, 1, 3)\n"}};
+
+  Session plain;
+  plain.load(db);
+  auto want = plain.scenarios(kSupervisionProgram).evaluate(scenarios);
+
+  ::setenv("FAURE_CHAOS_SEED", "20260807", 1);
+  Session chaotic;
+  clearSupervisionEnv();
+  chaotic.load(db);
+  obs::Tracer tracer;
+  chaotic.setTracer(&tracer);
+  auto got = chaotic.scenarios(kSupervisionProgram).evaluate(scenarios);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].exitCode, 0) << got[i].message;
+    EXPECT_EQ(got[i].output, want[i].output) << "scenario " << want[i].id;
+  }
+  // The forks ran supervised: the session's chaos plan reached them.
+  EXPECT_GT(tracer.metrics().snapshot().counter(
+                "solver.supervise.faults_injected"),
+            0u);
+}
+
 TEST(SessionTest, WatchDeltaApiReevaluatesIncrementally) {
   Session s;
   s.load(

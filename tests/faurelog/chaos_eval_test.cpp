@@ -1,5 +1,5 @@
-// Chaos contract of supervised evaluation (DESIGN.md §9): with
-// EvalOptions::supervision enabled, results must be bit-identical to an
+// Chaos contract of supervised evaluation (DESIGN.md §9): with a
+// supervised solver stack, results must be bit-identical to an
 // unsupervised run when no faults fire; with a seeded FaultPlan and a
 // native fallback, injected faults must change *no* result bits either
 // (the default plan only ever faults the primary, which fails over) —
@@ -9,7 +9,7 @@
 
 #include "datalog/parser.hpp"
 #include "faurelog/eval.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/fault_plan.hpp"
 
 namespace faure::fl {
@@ -55,31 +55,18 @@ class ChaosEvalTest : public ::testing::Test {
     smt::SolverStats solver;
   };
 
-  Run eval(EvalOptions opts, unsigned threads, bool cache) {
-    // When supervision is requested, wrap here (rather than letting
-    // evalFaure wrap internally) so the outer solver's logical stats
-    // stream stays observable after the run — and so the evaluator's
-    // "already supervised, don't double-wrap" guard is exercised.
-    smt::NativeSolver inner(db_.cvars());
-    std::unique_ptr<smt::SupervisedSolver> sup;
-    smt::SolverBase* solver = &inner;
-    if (opts.supervision && opts.supervision->enabled) {
-      sup = std::make_unique<smt::SupervisedSolver>(db_.cvars(),
-                                                    *opts.supervision);
-      sup->addBackend("primary", &inner);
-      if (opts.supervision->failover) sup->addNativeFallback();
-      solver = sup.get();
-    }
-    std::unique_ptr<smt::VerdictCache> vc;
-    if (cache) {
-      vc = std::make_unique<smt::VerdictCache>(db_.cvars(), 4096);
-      solver->setVerdictCache(vc.get());
-    }
+  Run eval(const smt::SupervisionOptions& sup, unsigned threads,
+           bool cache) {
+    smt::SolverStackOptions stackOpts;
+    stackOpts.cacheEntries = cache ? 4096 : 0;
+    stackOpts.supervision = sup;
+    smt::SolverStack stack = smt::buildSolverStack(db_.cvars(), stackOpts);
+    EvalOptions opts;
     opts.threads = threads;
     Run r;
-    r.res = evalFaure(dl::parseProgram(kClosure, db_.cvars()), db_, solver,
-                      opts);
-    r.solver = solver->stats();
+    r.res = evalFaure(dl::parseProgram(kClosure, db_.cvars()), db_,
+                      stack.solver.get(), opts);
+    r.solver = stack.solver->stats();
     return r;
   }
 
@@ -118,14 +105,12 @@ class ChaosEvalTest : public ::testing::Test {
 
 TEST_F(ChaosEvalTest, SupervisionWithZeroFaultsIsBitIdentical) {
   Run plain = eval({}, 1, /*cache=*/true);
-  EvalOptions supervised;
   smt::SupervisionOptions sup;
   sup.enabled = true;
   sup.maxRetries = 3;
   sup.failover = true;
-  supervised.supervision = sup;
   for (unsigned threads : {1u, 4u}) {
-    Run run = eval(supervised, threads, /*cache=*/true);
+    Run run = eval(sup, threads, /*cache=*/true);
     expectIdentical(plain, run,
                     "zero-fault threads=" + std::to_string(threads));
     // Including the logical solver stream — supervision must not add,
@@ -140,8 +125,7 @@ TEST_F(ChaosEvalTest, SupervisionWithZeroFaultsIsBitIdentical) {
 TEST_F(ChaosEvalTest, SeededChaosWithFailoverChangesNoResultBits) {
   Run plain = eval({}, 1, /*cache=*/true);
   for (uint64_t seed : {1ull, 20260807ull, 64206ull}) {
-    EvalOptions chaotic;
-    chaotic.supervision = chaosOptions(seed);
+    smt::SupervisionOptions chaotic = chaosOptions(seed);
     for (unsigned threads : {1u, 2u, 8u}) {
       for (bool cache : {true, false}) {
         Run run = eval(chaotic, threads, cache);
@@ -164,13 +148,11 @@ TEST_F(ChaosEvalTest, PermanentPrimaryCrashCompletesViaFailover) {
   plan->configure(std::string(util::FaultPlan::kPrimaryTag), spec);
 
   Run plain = eval({}, 1, /*cache=*/true);
-  EvalOptions dying;
-  smt::SupervisionOptions sup;
-  sup.enabled = true;
-  sup.maxRetries = 1;
-  sup.failover = true;
-  sup.chaos = plan;
-  dying.supervision = sup;
+  smt::SupervisionOptions dying;
+  dying.enabled = true;
+  dying.maxRetries = 1;
+  dying.failover = true;
+  dying.chaos = plan;
   for (unsigned threads : {1u, 4u}) {
     Run run = eval(dying, threads, /*cache=*/true);
     expectIdentical(plain, run,
@@ -189,12 +171,10 @@ TEST_F(ChaosEvalTest, SameSeedReplaysTheSameDegradedRun) {
   auto plan = std::make_shared<util::FaultPlan>(7);
   plan->configure(std::string(util::FaultPlan::kPrimaryTag), spec);
 
-  EvalOptions degraded;
-  smt::SupervisionOptions sup;
-  sup.enabled = true;
-  sup.maxRetries = 1;
-  sup.chaos = plan;
-  degraded.supervision = sup;
+  smt::SupervisionOptions degraded;
+  degraded.enabled = true;
+  degraded.maxRetries = 1;
+  degraded.chaos = plan;
 
   Run first = eval(degraded, 1, /*cache=*/true);
   for (unsigned threads : {1u, 2u, 8u}) {

@@ -189,9 +189,9 @@ TEST(ScenarioSetTest, ForkMatchesFreshAtWidthEightUnderChaos) {
   }
   ScenarioSetOptions opts;
   opts.eval.threads = 8;
-  opts.supervision.enabled = true;
-  opts.supervision.failover = true;
-  opts.supervision.chaos = util::FaultPlan::defaultChaos(20260807);
+  opts.solver.supervision.enabled = true;
+  opts.solver.supervision.failover = true;
+  opts.solver.supervision.chaos = util::FaultPlan::defaultChaos(20260807);
   ScenarioSet set = makeSet(std::move(opts));
   std::vector<ScenarioOutcome> out = set.evaluate(scenarios);
   ASSERT_EQ(out.size(), scenarios.size());

@@ -412,7 +412,7 @@ TEST_F(SupervisedSolverTest, ChainsWithUncloneableBackendsDoNotClone) {
   EXPECT_EQ(sup.cloneForLane(0), nullptr);
 }
 
-TEST_F(SupervisedSolverTest, TakeBackendRestoresTheAdoptedCache) {
+TEST_F(SupervisedSolverTest, PrimaryCacheIsAdoptedAtTheWrapper) {
   VerdictCache cache(reg_, 64);
   auto native = std::make_unique<NativeSolver>(reg_);
   native->setVerdictCache(&cache);
@@ -421,25 +421,6 @@ TEST_F(SupervisedSolverTest, TakeBackendRestoresTheAdoptedCache) {
   sup.addBackend("native", std::move(native));
   EXPECT_EQ(sup.verdictCache(), &cache);  // adopted at the wrapper
   EXPECT_EQ(sup.backend(0).verdictCache(), nullptr);
-
-  std::unique_ptr<SolverBase> unwrapped = sup.takeBackend(0);
-  EXPECT_EQ(unwrapped->verdictCache(), &cache);  // handed back
-  EXPECT_EQ(sup.verdictCache(), nullptr);
-  EXPECT_EQ(sup.backends(), 0u);
-}
-
-TEST_F(SupervisedSolverTest, BorrowedBackendWiringIsRestoredOnDestruction) {
-  VerdictCache cache(reg_, 64);
-  NativeSolver borrowed(reg_);
-  borrowed.setVerdictCache(&cache);
-  {
-    SupervisedSolver sup(reg_, {});
-    sup.addBackend("borrowed", &borrowed);
-    EXPECT_EQ(borrowed.verdictCache(), nullptr);  // stripped for the wrap
-    EXPECT_EQ(sup.verdictCache(), &cache);
-    EXPECT_EQ(sup.check(eq(x_, 0)), Sat::Sat);
-  }
-  EXPECT_EQ(borrowed.verdictCache(), &cache);  // restored on destruction
 }
 
 TEST_F(SupervisedSolverTest, RequireZ3SolverThrowsATypedErrorWithoutZ3) {

@@ -20,12 +20,14 @@ Two report families are understood (--family):
 Compares the fresh report against the committed baseline and fails
 when any measured wall time regressed beyond the tolerance. Because absolute seconds are
 machine-dependent (CI runners differ run to run, let alone from the
-box that recorded the baseline), times are *calibrated* first: the
-serial wall of the smallest common size is taken as the machine's speed
-unit, every comparison is done on times rescaled by that unit, and the
-calibration entry itself is exempt. A genuine O(...) regression moves
-the rescaled ratio no matter how fast the runner is; a uniformly
-slower runner moves nothing.
+box that recorded the baseline), times are *calibrated* first: every
+comparison is done on times rescaled by a machine speed unit, so a
+uniformly slower runner moves nothing while a regression confined to
+some entries still moves theirs. For table4 the unit is the median of
+the per-entry current/baseline ratios and every entry is gated, so one
+entry that alone runs fast or slow cannot shift the others. The other
+families take the serial wall of the smallest common size as the unit,
+and that calibration entry itself is exempt.
 
     bench_check.py --current BENCH_table4.json \
         --baseline bench/baseline_table4.json \
@@ -46,6 +48,7 @@ hint, never a traceback.
 import argparse
 import json
 import re
+import statistics
 import sys
 
 
@@ -84,9 +87,10 @@ def load_json(path, role, family="table4"):
 # Per-family report shape. `wall` parses gauge names into
 # (size, threads, variant) keys: group 1 = size, group 2 = thread count
 # (absent = 1), group 3 = the variant tag (table4's cache-off control /
-# the incremental engine's delta-propagation run). The calibration
-# entry is always the smallest un-tagged serial row — the full-recompute
-# oracle for the incremental family.
+# the incremental engine's delta-propagation run). `median` selects the
+# median-ratio calibration; otherwise the calibration entry is the
+# smallest un-tagged serial row — the full-recompute oracle for the
+# incremental family.
 FAMILIES = {
     "table4": {
         "wall": re.compile(
@@ -96,6 +100,7 @@ FAMILIES = {
         "variant": "nocache",
         "example": "table4[8].wall_seconds",
         "harness": "bench/table4_reachability",
+        "median": True,
     },
     "incremental": {
         "wall": re.compile(
@@ -234,22 +239,25 @@ def main():
             "invocation",
         )
 
-    # Calibration unit: cached serial wall of the smallest common size.
-    serial = [k for k in common if k[1] == 1 and not k[2]]
-    if not serial:
-        fail(
-            "no common serial cached entry to calibrate against",
-            "both reports need at least one `size=N threads=1` row "
-            "(no nocache suffix)",
-        )
-    cal = min(serial)
-    unit_now, unit_base = current[cal], baseline[cal]
+    if FAMILIES[opts.family].get("median"):
+        # Calibration unit: the median per-entry ratio. No entry is exempt.
+        cal = None
+        scale = statistics.median(current[k] / baseline[k] for k in common)
+    else:
+        # Calibration unit: cached serial wall of the smallest common size.
+        serial = [k for k in common if k[1] == 1 and not k[2]]
+        if not serial:
+            fail(
+                "no common serial cached entry to calibrate against",
+                "both reports need at least one `size=N threads=1` row "
+                "(no nocache suffix)",
+            )
+        cal = min(serial)
+        scale = current[cal] / baseline[cal]
 
     rows, regressions = [], []
     for key in common:
-        ratio_now = current[key] / unit_now
-        ratio_base = baseline[key] / unit_base
-        drift = ratio_now / ratio_base - 1.0
+        drift = current[key] / baseline[key] / scale - 1.0
         verdict = "calibration" if key == cal else (
             "REGRESSED" if drift > opts.tolerance else
             "improved" if drift < -opts.tolerance else "ok"
@@ -279,7 +287,10 @@ def main():
                 {
                     "schema": "faure.bench_diff/1",
                     "tolerance": opts.tolerance,
-                    "calibration_entry": key_str(cal, variant),
+                    "calibration_entry": (
+                        "median ratio" if cal is None
+                        else key_str(cal, variant)
+                    ),
                     "rows": rows,
                     "missing": [key_str(k, variant) for k in missing],
                 },

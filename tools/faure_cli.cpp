@@ -32,7 +32,9 @@
 // `RESULT <id> <exit> <nbytes> [reason]` + nbytes payload per request
 // in queue order, `PING` answers `PONG`, `QUIT`/EOF drains the queue
 // and closes, `SHUTDOWN` additionally stops a socket server
-// (--socket PATH listens on a unix socket instead of stdin/stdout).
+// (--socket PATH listens on a unix socket instead of stdin/stdout). A
+// request line over 1 MiB is answered with `ERR line too long` and
+// skipped; the connection stays usable.
 //
 // Options for `run`:
 //   --relation NAME   print only this derived relation
@@ -104,9 +106,7 @@
 #include "obs/trace.hpp"
 #include "relational/worlds.hpp"
 #include "smt/interner.hpp"
-#include "smt/supervised_solver.hpp"
-#include "smt/verdict_cache.hpp"
-#include "smt/z3_solver.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/error.hpp"
 #include "util/fault_plan.hpp"
 #include "util/resource_guard.hpp"
@@ -322,18 +322,6 @@ bool parseSupervisionFlag(int argc, char** argv, int& i,
   return true;
 }
 
-/// Wraps `solver` in a SupervisedSolver when supervision is enabled
-/// (the wrapper adopts the solver's verdict cache).
-void superviseSolver(std::unique_ptr<smt::SolverBase>& solver,
-                     const char* name, const rel::Database& db,
-                     const smt::SupervisionOptions& sup) {
-  if (!sup.enabled) return;
-  auto wrapped = std::make_unique<smt::SupervisedSolver>(db.cvars(), sup);
-  wrapped->addBackend(name, std::move(solver));
-  if (sup.failover) wrapped->addNativeFallback();
-  solver = std::move(wrapped);
-}
-
 /// Supervision entries for the run report / --stats.
 void addSupervisionMeta(obs::ReportMeta& meta,
                         const smt::SupervisionOptions& sup) {
@@ -391,6 +379,105 @@ bool parseObsFlag(const char* arg, ObsFlags& obs) {
     obs.metricsFile = arg + 10;
   } else {
     return false;
+  }
+  return true;
+}
+
+/// Flag groups a command may accept on top of the ones every command
+/// takes (--solver-cache, observability, budget and fault tolerance).
+enum CliFlags : unsigned {
+  kRelation = 1u << 0,   // --relation NAME
+  kSolver = 1u << 1,     // --solver native|z3
+  kEvalFlags = 1u << 2,  // --threads N / -jN, --plan MODE
+  kSimplify = 1u << 3,   // --simplify
+  kDbOut = 1u << 4,      // --db-out FILE
+  kMode = 1u << 5,       // --incremental / --full-recompute
+  kScenarios = 1u << 6,  // --scenarios FILE
+  kSocket = 1u << 7,     // --socket PATH
+};
+constexpr unsigned kWhatifFlags = kRelation | kSolver | kEvalFlags | kMode;
+
+/// Every flag of every command, parsed once; the FAURE_* environment
+/// supplies the defaults and flags override it.
+struct CliOptions {
+  const char* relation = nullptr;
+  const char* dbOut = nullptr;
+  const char* scenarios = nullptr;
+  const char* socket = nullptr;
+  bool simplify = false;
+  int mode = -1;  // -1: FAURE_INCREMENTAL env; 0: oracle; 1: incremental
+  std::optional<unsigned> threads;
+  std::optional<fl::PlanMode> plan;
+  ObsFlags obs;
+  ResourceLimits limits = ResourceLimits::fromEnv();
+  smt::SolverStackOptions solver;
+
+  CliOptions() { solver.supervision = smt::SupervisionOptions::fromEnv(); }
+
+  /// Evaluation options of one governed, traced run.
+  fl::EvalOptions evalOptions(obs::Tracer* tracer,
+                              ResourceGuard& guard) const {
+    fl::EvalOptions opts;
+    opts.simplifyResults = simplify;
+    opts.threads = threads;
+    opts.plan = plan;
+    opts.tracer = tracer;
+    if (guard.active()) opts.guard = &guard;
+    return opts;
+  }
+};
+
+/// Parses argv[first..argc) into `o`, accepting the common flags plus
+/// the groups in `accepted`; returns false on any other argument (the
+/// caller prints usage). A value flag missing its value is not accepted.
+bool parseCli(int argc, char** argv, int first, unsigned accepted,
+              CliOptions& o) {
+  for (int i = first; i < argc; ++i) {
+    const char* arg = argv[i];
+    auto is = [&](unsigned group, const char* flag) {
+      return (accepted & group) != 0 && std::strcmp(arg, flag) == 0;
+    };
+    auto valueOf = [&](unsigned group, const char* flag) -> const char* {
+      return is(group, flag) && i + 1 < argc ? argv[++i] : nullptr;
+    };
+    auto inlineValue = [&](unsigned group, const char* prefix) {
+      size_t n = std::strlen(prefix);
+      return (accepted & group) != 0 && std::strncmp(arg, prefix, n) == 0
+                 ? arg + n
+                 : nullptr;
+    };
+    if (const char* v = valueOf(kRelation, "--relation")) {
+      o.relation = v;
+    } else if (const char* v = valueOf(kSolver, "--solver")) {
+      o.solver.backend = v;
+    } else if (const char* v = valueOf(kDbOut, "--db-out")) {
+      o.dbOut = v;
+    } else if (const char* v = valueOf(kScenarios, "--scenarios")) {
+      o.scenarios = v;
+    } else if (const char* v = inlineValue(kScenarios, "--scenarios=")) {
+      o.scenarios = v;
+    } else if (const char* v = valueOf(kSocket, "--socket")) {
+      o.socket = v;
+    } else if (const char* v = inlineValue(kSocket, "--socket=")) {
+      o.socket = v;
+    } else if (is(kSimplify, "--simplify")) {
+      o.simplify = true;
+    } else if (is(kMode, "--incremental")) {
+      o.mode = 1;
+    } else if (is(kMode, "--full-recompute")) {
+      o.mode = 0;
+    } else if ((accepted & kEvalFlags) != 0 &&
+               (parseThreadsFlag(argc, argv, i, o.threads) ||
+                parsePlanFlag(argc, argv, i, o.plan))) {
+      continue;
+    } else if (parseSolverCacheFlag(argc, argv, i, o.solver.cacheEntries) ||
+               parseObsFlag(arg, o.obs) ||
+               parseBudgetFlag(argc, argv, i, o.limits) ||
+               parseSupervisionFlag(argc, argv, i, o.solver.supervision)) {
+      continue;
+    } else {
+      return false;
+    }
   }
   return true;
 }
@@ -463,81 +550,20 @@ void printEvalStats(const obs::MetricsSnapshot& snap) {
       static_cast<unsigned long long>(snap.counter("solver.checks")));
 }
 
-std::unique_ptr<smt::SolverBase> makeSolver(const rel::Database& db,
-                                            const char* which) {
-  if (std::strcmp(which, "z3") == 0) {
-    auto z3 = smt::makeZ3Solver(db.cvars());
-    if (z3 == nullptr) throw Error("this build has no Z3 backend");
-    return z3;
-  }
-  if (std::strcmp(which, "native") != 0) {
-    throw Error(std::string("unknown solver '") + which + "'");
-  }
-  return std::make_unique<smt::NativeSolver>(db.cvars());
-}
-
 int cmdRun(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const char* relation = nullptr;
-  const char* solverName = "native";
-  const char* dbOut = nullptr;
-  bool simplify = false;
-  std::optional<unsigned> threads;
-  std::optional<fl::PlanMode> plan;
-  size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  ObsFlags obsFlags;
-  ResourceLimits limits = ResourceLimits::fromEnv();
-  smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-      relation = argv[++i];
-    } else if (std::strcmp(argv[i], "--simplify") == 0) {
-      simplify = true;
-    } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      solverName = argv[++i];
-    } else if (std::strcmp(argv[i], "--db-out") == 0 && i + 1 < argc) {
-      dbOut = argv[++i];
-    } else if (parseThreadsFlag(argc, argv, i, threads)) {
-      continue;
-    } else if (parsePlanFlag(argc, argv, i, plan)) {
-      continue;
-    } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
-      continue;
-    } else if (parseObsFlag(argv[i], obsFlags)) {
-      continue;
-    } else if (parseBudgetFlag(argc, argv, i, limits)) {
-      continue;
-    } else if (parseSupervisionFlag(argc, argv, i, sup)) {
-      continue;
-    } else {
-      return usage();
-    }
+  CliOptions o;
+  if (argc < 2 ||
+      !parseCli(argc, argv, 2,
+                kRelation | kSolver | kEvalFlags | kSimplify | kDbOut, o)) {
+    return usage();
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
   dl::Program program = dl::parseProgram(readFile(argv[1]), db.cvars());
-  auto solver = makeSolver(db, solverName);
-  std::unique_ptr<smt::VerdictCache> cache;
-  if (cacheEntries > 0) {
-    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-    solver->setVerdictCache(cache.get());
-  }
-  superviseSolver(solver, solverName, db, sup);
-  std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
-  ResourceGuard guard(limits);
-  fl::EvalOptions opts;
-  opts.simplifyResults = simplify;
-  opts.threads = threads;
-  opts.plan = plan;
-  opts.tracer = tracer.get();
-  if (guard.active()) {
-    opts.guard = &guard;
-    solver->setGuard(&guard);
-    if (tracer != nullptr) {
-      guard.onTrip([&tracer](Budget, const std::string& reason) {
-        tracer->event("budget.trip", reason);
-      });
-    }
-  }
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), o.solver);
+  std::unique_ptr<obs::Tracer> tracer = makeTracer(o.obs);
+  ResourceGuard guard(o.limits);
+  smt::attachGuardAndTracer(*stack.solver, guard, tracer.get());
+  fl::EvalOptions opts = o.evalOptions(tracer.get(), guard);
   fl::EvalResult res;
   {
     obs::Span top(tracer.get(), "run");
@@ -545,38 +571,38 @@ int cmdRun(int argc, char** argv) {
       top.note("database", argv[0]);
       top.note("program", argv[1]);
     }
-    res = fl::evalFaure(program, db, solver.get(), opts);
+    res = fl::evalFaure(program, db, stack.solver.get(), opts);
   }
   for (const auto& [pred, table] : res.idb) {
-    if (obsFlags.quietStdout()) break;
-    if (relation != nullptr && pred != relation) continue;
+    if (o.obs.quietStdout()) break;
+    if (o.relation != nullptr && pred != o.relation) continue;
     std::printf("%s\n", table.toString(&db.cvars()).c_str());
   }
-  if (dbOut != nullptr) {
+  if (o.dbOut != nullptr) {
     // Write the input state plus every derived relation: later `faure`
     // invocations can query the results (the q6/q7 nesting pattern).
     for (auto& [pred, table] : res.idb) db.put(std::move(table));
-    std::ofstream out(dbOut);
-    if (!out) throw Error(std::string("cannot write '") + dbOut + "'");
+    std::ofstream out(o.dbOut);
+    if (!out) throw Error(std::string("cannot write '") + o.dbOut + "'");
     out << fl::formatDatabase(db);
   }
-  if (obsFlags.stats && !obsFlags.quietStdout()) {
+  if (o.obs.stats && !o.obs.quietStdout()) {
     obs::MetricsSnapshot snap = tracer->metrics().snapshot();
     printEvalStats(snap);
     printSolverStats(snap);
-    if (sup.enabled) printSuperviseStats(snap);
+    if (o.solver.supervision.enabled) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     obs::ReportMeta meta;
     meta.command = "run";
     meta.add("database", argv[0]);
     meta.add("program", argv[1]);
-    meta.add("solver", solverName);
+    meta.add("solver", o.solver.backend);
     meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
-    addSupervisionMeta(meta, sup);
+    addSupervisionMeta(meta, o.solver.supervision);
     if (res.incomplete) meta.add("incomplete", res.degradeReason);
-    exportObs(*tracer, obsFlags, meta);
+    exportObs(*tracer, o.obs, meta);
   }
   if (res.incomplete) {
     std::fprintf(stderr,
@@ -614,73 +640,24 @@ int cmdWhatif(int argc, char** argv) {
       return cmdWhatifBatch(argc, argv);
     }
   }
-  if (argc < 3) return usage();
-  const char* relation = nullptr;
-  const char* solverName = "native";
-  std::optional<unsigned> threads;
-  std::optional<fl::PlanMode> plan;
-  size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  ObsFlags obsFlags;
-  ResourceLimits limits = ResourceLimits::fromEnv();
-  smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
-  int mode = -1;  // -1: FAURE_INCREMENTAL env; 0: oracle; 1: incremental
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-      relation = argv[++i];
-    } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-      solverName = argv[++i];
-    } else if (std::strcmp(argv[i], "--incremental") == 0) {
-      mode = 1;
-    } else if (std::strcmp(argv[i], "--full-recompute") == 0) {
-      mode = 0;
-    } else if (parseThreadsFlag(argc, argv, i, threads)) {
-      continue;
-    } else if (parsePlanFlag(argc, argv, i, plan)) {
-      continue;
-    } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
-      continue;
-    } else if (parseObsFlag(argv[i], obsFlags)) {
-      continue;
-    } else if (parseBudgetFlag(argc, argv, i, limits)) {
-      continue;
-    } else if (parseSupervisionFlag(argc, argv, i, sup)) {
-      continue;
-    } else {
-      return usage();
-    }
-  }
+  CliOptions o;
+  if (argc < 3 || !parseCli(argc, argv, 3, kWhatifFlags, o)) return usage();
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
   dl::Program program = dl::parseProgram(readFile(argv[1]), db.cvars());
   std::vector<fl::Edit> edits = fl::parseEditScript(readFile(argv[2]), db);
-  auto solver = makeSolver(db, solverName);
-  std::unique_ptr<smt::VerdictCache> cache;
-  if (cacheEntries > 0) {
-    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-    solver->setVerdictCache(cache.get());
-  }
-  superviseSolver(solver, solverName, db, sup);
-  std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
-  ResourceGuard guard(limits);
-  fl::EvalOptions opts;
-  opts.threads = threads;
-  opts.plan = plan;
-  opts.tracer = tracer.get();
-  if (guard.active()) {
-    opts.guard = &guard;
-    solver->setGuard(&guard);
-    if (tracer != nullptr) {
-      guard.onTrip([&tracer](Budget, const std::string& reason) {
-        tracer->event("budget.trip", reason);
-      });
-    }
-  }
-  fl::IncrementalEngine eng(std::move(program), db, solver.get(), opts);
-  if (mode >= 0) eng.setIncremental(mode == 1);
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), o.solver);
+  std::unique_ptr<obs::Tracer> tracer = makeTracer(o.obs);
+  ResourceGuard guard(o.limits);
+  smt::attachGuardAndTracer(*stack.solver, guard, tracer.get());
+  fl::EvalOptions opts = o.evalOptions(tracer.get(), guard);
+  fl::IncrementalEngine eng(std::move(program), db, stack.solver.get(),
+                            opts);
+  if (o.mode >= 0) eng.setIncremental(o.mode == 1);
 
   auto printEpoch = [&](const fl::EvalResult& res) {
     for (const auto& [pred, table] : res.idb) {
-      if (obsFlags.quietStdout()) break;
-      if (relation != nullptr && pred != relation) continue;
+      if (o.obs.quietStdout()) break;
+      if (o.relation != nullptr && pred != o.relation) continue;
       std::printf("%s\n", table.toString(&db.cvars()).c_str());
     }
   };
@@ -695,7 +672,7 @@ int cmdWhatif(int argc, char** argv) {
       top.note("program", argv[1]);
       top.note("edits", argv[2]);
     }
-    if (!obsFlags.quietStdout()) std::printf("== epoch 0: initial ==\n");
+    if (!o.obs.quietStdout()) std::printf("== epoch 0: initial ==\n");
     // Budgets are per epoch: every reevaluation gets the full allowance,
     // like one Session operation.
     if (guard.active()) guard.rearm();
@@ -708,7 +685,7 @@ int cmdWhatif(int argc, char** argv) {
     }
     for (size_t e = 0; exitCode == 0 && e < edits.size(); ++e) {
       eng.apply(edits[e]);
-      if (!obsFlags.quietStdout()) {
+      if (!o.obs.quietStdout()) {
         std::printf("== epoch %zu: %s ==\n", e + 1,
                     fl::formatEdit(edits[e], db.cvars()).c_str());
       }
@@ -722,12 +699,12 @@ int cmdWhatif(int argc, char** argv) {
       }
     }
   }
-  if (obsFlags.stats && !obsFlags.quietStdout()) {
+  if (o.obs.stats && !o.obs.quietStdout()) {
     obs::MetricsSnapshot snap = tracer->metrics().snapshot();
     printEvalStats(snap);
     printSolverStats(snap);
     printIncStats(eng.stats());
-    if (sup.enabled) printSuperviseStats(snap);
+    if (o.solver.supervision.enabled) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     obs::ReportMeta meta;
@@ -735,14 +712,14 @@ int cmdWhatif(int argc, char** argv) {
     meta.add("database", argv[0]);
     meta.add("program", argv[1]);
     meta.add("edits", argv[2]);
-    meta.add("solver", solverName);
+    meta.add("solver", o.solver.backend);
     meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
     meta.add("incremental", eng.incremental() ? "on" : "off");
     meta.add("epochs", std::to_string(epochsRun));
-    addSupervisionMeta(meta, sup);
+    addSupervisionMeta(meta, o.solver.supervision);
     if (exitCode == 2) meta.add("incomplete", degradeReason);
-    exportObs(*tracer, obsFlags, meta);
+    exportObs(*tracer, o.obs, meta);
   }
   if (exitCode == 2) {
     std::fprintf(stderr,
@@ -754,54 +731,18 @@ int cmdWhatif(int argc, char** argv) {
   return exitCode;
 }
 
-/// Flags shared by `whatif --scenarios` and `serve` (the scenario
-/// engine takes the same knobs as single-scenario whatif).
-struct ScenarioCliFlags {
-  const char* relation = nullptr;
-  const char* solverName = "native";
-  std::optional<unsigned> threads;
-  std::optional<fl::PlanMode> plan;
-  size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  ObsFlags obs;
-  ResourceLimits limits = ResourceLimits::fromEnv();
-  smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
-  int mode = -1;  // -1: FAURE_INCREMENTAL env; 0: oracle; 1: incremental
-};
-
-bool parseScenarioCommonFlag(int argc, char** argv, int& i,
-                             ScenarioCliFlags& f) {
-  if (std::strcmp(argv[i], "--relation") == 0 && i + 1 < argc) {
-    f.relation = argv[++i];
-  } else if (std::strcmp(argv[i], "--solver") == 0 && i + 1 < argc) {
-    f.solverName = argv[++i];
-  } else if (std::strcmp(argv[i], "--incremental") == 0) {
-    f.mode = 1;
-  } else if (std::strcmp(argv[i], "--full-recompute") == 0) {
-    f.mode = 0;
-  } else if (parseThreadsFlag(argc, argv, i, f.threads)) {
-  } else if (parsePlanFlag(argc, argv, i, f.plan)) {
-  } else if (parseSolverCacheFlag(argc, argv, i, f.cacheEntries)) {
-  } else if (parseObsFlag(argv[i], f.obs)) {
-  } else if (parseBudgetFlag(argc, argv, i, f.limits)) {
-  } else if (parseSupervisionFlag(argc, argv, i, f.sup)) {
-  } else {
-    return false;
-  }
-  return true;
-}
-
-fl::ScenarioSetOptions buildScenarioOptions(const ScenarioCliFlags& f,
-                                            obs::Tracer* tracer) {
+/// The scenario engine of `whatif --scenarios` and `serve` takes the
+/// same knobs as single-scenario whatif.
+fl::ScenarioSetOptions scenarioOptions(const CliOptions& o,
+                                       obs::Tracer* tracer) {
   fl::ScenarioSetOptions sopts;
-  sopts.eval.threads = f.threads;  // reinterpreted as the fan-out width
-  sopts.eval.plan = f.plan;
+  sopts.eval.threads = o.threads;  // reinterpreted as the fan-out width
+  sopts.eval.plan = o.plan;
   sopts.eval.tracer = tracer;
-  sopts.limits = f.limits;
-  sopts.supervision = f.sup;
-  sopts.mode = f.mode;
-  if (f.relation != nullptr) sopts.relation = f.relation;
-  sopts.cacheEntries = f.cacheEntries;
-  sopts.solverName = f.solverName;
+  sopts.limits = o.limits;
+  sopts.solver = o.solver;
+  sopts.mode = o.mode;
+  if (o.relation != nullptr) sopts.relation = o.relation;
   return sopts;
 }
 
@@ -818,28 +759,19 @@ void printServeStats(const obs::MetricsSnapshot& snap) {
 /// fl::ScenarioSet. Exit code aggregates the per-scenario contract:
 /// 1 if any scenario hard-errored, else 2 if any degraded, else 0.
 int cmdWhatifBatch(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const char* scenariosFile = nullptr;
-  ScenarioCliFlags flags;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scenarios") == 0 && i + 1 < argc) {
-      scenariosFile = argv[++i];
-    } else if (std::strncmp(argv[i], "--scenarios=", 12) == 0) {
-      scenariosFile = argv[i] + 12;
-    } else if (parseScenarioCommonFlag(argc, argv, i, flags)) {
-      continue;
-    } else {
-      return usage();
-    }
+  CliOptions o;
+  if (argc < 2 || !parseCli(argc, argv, 2, kWhatifFlags | kScenarios, o) ||
+      o.scenarios == nullptr) {
+    return usage();
   }
-  if (scenariosFile == nullptr) return usage();
+  const char* scenariosFile = o.scenarios;
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
   dl::Program program = dl::parseProgram(readFile(argv[1]), db.cvars());
   std::vector<fl::Scenario> scenarios =
       fl::parseScenarioFile(readFile(scenariosFile));
-  std::unique_ptr<obs::Tracer> tracer = makeTracer(flags.obs);
+  std::unique_ptr<obs::Tracer> tracer = makeTracer(o.obs);
   fl::ScenarioSet set(std::move(program), std::move(db),
-                      buildScenarioOptions(flags, tracer.get()));
+                      scenarioOptions(o, tracer.get()));
   std::vector<fl::ScenarioOutcome> results;
   {
     obs::Span top(tracer.get(), "whatif.batch");
@@ -852,7 +784,7 @@ int cmdWhatifBatch(int argc, char** argv) {
   }
   int exitCode = 0;
   for (const fl::ScenarioOutcome& r : results) {
-    if (!flags.obs.quietStdout()) {
+    if (!o.obs.quietStdout()) {
       std::printf("=== scenario %s: exit %d ===\n", r.id.c_str(),
                   r.exitCode);
       std::fwrite(r.output.data(), 1, r.output.size(), stdout);
@@ -867,29 +799,52 @@ int cmdWhatifBatch(int argc, char** argv) {
       exitCode = 2;
     }
   }
-  if (flags.obs.stats && !flags.obs.quietStdout()) {
+  if (o.obs.stats && !o.obs.quietStdout()) {
     obs::MetricsSnapshot snap = tracer->metrics().snapshot();
     printEvalStats(snap);
     printSolverStats(snap);
     printServeStats(snap);
-    if (flags.sup.enabled) printSuperviseStats(snap);
+    if (o.solver.supervision.enabled) printSuperviseStats(snap);
   }
   if (tracer != nullptr) {
     fl::EvalOptions fanout;
-    fanout.threads = flags.threads;
+    fanout.threads = o.threads;
     obs::ReportMeta meta;
     meta.command = "whatif";
     meta.add("database", argv[0]);
     meta.add("program", argv[1]);
     meta.add("scenarios", scenariosFile);
     meta.add("scenario_count", std::to_string(results.size()));
-    meta.add("solver", flags.solverName);
+    meta.add("solver", o.solver.backend);
     meta.add("threads", std::to_string(fl::resolveThreads(fanout)));
-    meta.add("plan", planModeName(fl::resolvePlanMode(flags.plan)));
-    addSupervisionMeta(meta, flags.sup);
-    exportObs(*tracer, flags.obs, meta);
+    meta.add("plan", planModeName(fl::resolvePlanMode(o.plan)));
+    addSupervisionMeta(meta, o.solver.supervision);
+    exportObs(*tracer, o.obs, meta);
   }
   return exitCode;
+}
+
+/// Longest serve request line, newline excluded (1 MiB). A longer line
+/// is answered with `ERR line too long` and discarded up to its newline,
+/// so no client can make the server allocate without bound.
+constexpr size_t kMaxServeLine = size_t{1} << 20;
+
+/// Reads one line of `in` into `line`, without its newline; returns false
+/// at end of input with nothing read. Past kMaxServeLine bytes the rest
+/// of the line is consumed but not stored, and `tooLong` is set.
+bool readServeLine(FILE* in, std::string& line, bool& tooLong) {
+  line.clear();
+  tooLong = false;
+  int c = std::getc(in);
+  if (c == EOF) return false;
+  for (; c != EOF && c != '\n'; c = std::getc(in)) {
+    if (line.size() < kMaxServeLine) {
+      line.push_back(static_cast<char>(c));
+    } else {
+      tooLong = true;
+    }
+  }
+  return true;
 }
 
 /// One client conversation over the serve line protocol (see the file
@@ -915,14 +870,16 @@ bool serveLoop(fl::ScenarioSet& set, FILE* in, FILE* out) {
     std::fflush(out);
     queue.clear();
   };
-  char* line = nullptr;
-  size_t cap = 0;
-  ssize_t len;
-  while ((len = ::getline(&line, &cap, in)) != -1) {
-    std::string_view cmd(line, static_cast<size_t>(len));
-    while (!cmd.empty() && (cmd.back() == '\n' || cmd.back() == '\r')) {
-      cmd.remove_suffix(1);
+  std::string line;
+  bool tooLong = false;
+  while (readServeLine(in, line, tooLong)) {
+    if (tooLong) {
+      std::fputs("ERR line too long\n", out);
+      std::fflush(out);
+      continue;
     }
+    std::string_view cmd(line);
+    while (!cmd.empty() && cmd.back() == '\r') cmd.remove_suffix(1);
     if (cmd.empty() || cmd == "GO") {
       flush();
     } else if (cmd == "PING") {
@@ -955,7 +912,6 @@ bool serveLoop(fl::ScenarioSet& set, FILE* in, FILE* out) {
       std::fflush(out);
     }
   }
-  std::free(line);
   flush();
   return shutdown;
 }
@@ -1006,29 +962,19 @@ int serveOnSocket(fl::ScenarioSet& set, const char* path) {
 }
 
 int cmdServe(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const char* socketPath = nullptr;
-  ScenarioCliFlags flags;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
-      socketPath = argv[++i];
-    } else if (std::strncmp(argv[i], "--socket=", 9) == 0) {
-      socketPath = argv[i] + 9;
-    } else if (parseScenarioCommonFlag(argc, argv, i, flags)) {
-      continue;
-    } else {
-      return usage();
-    }
+  CliOptions o;
+  if (argc < 2 || !parseCli(argc, argv, 2, kWhatifFlags | kSocket, o)) {
+    return usage();
   }
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
   dl::Program program = dl::parseProgram(readFile(argv[1]), db.cvars());
-  std::unique_ptr<obs::Tracer> tracer = makeTracer(flags.obs);
+  std::unique_ptr<obs::Tracer> tracer = makeTracer(o.obs);
   fl::ScenarioSet set(std::move(program), std::move(db),
-                      buildScenarioOptions(flags, tracer.get()));
+                      scenarioOptions(o, tracer.get()));
   // Front-load the shared epoch 0 so the first request pays only its
   // own marginal cost.
   set.prepare();
-  if (socketPath != nullptr) return serveOnSocket(set, socketPath);
+  if (o.socket != nullptr) return serveOnSocket(set, o.socket);
   std::printf("READY\n");
   std::fflush(stdout);
   serveLoop(set, stdin, stdout);
@@ -1036,46 +982,15 @@ int cmdServe(int argc, char** argv) {
 }
 
 int cmdCheck(int argc, char** argv) {
-  if (argc < 2) return usage();
-  ObsFlags obsFlags;
-  size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  ResourceLimits limits = ResourceLimits::fromEnv();
-  smt::SupervisionOptions sup = smt::SupervisionOptions::fromEnv();
-  for (int i = 2; i < argc; ++i) {
-    if (parseObsFlag(argv[i], obsFlags)) {
-      continue;
-    } else if (parseSolverCacheFlag(argc, argv, i, cacheEntries)) {
-      continue;
-    } else if (parseBudgetFlag(argc, argv, i, limits)) {
-      continue;
-    } else if (parseSupervisionFlag(argc, argv, i, sup)) {
-      continue;
-    } else {
-      return usage();
-    }
-  }
+  CliOptions o;
+  if (argc < 2 || !parseCli(argc, argv, 2, 0, o)) return usage();
   rel::Database db = fl::parseDatabase(readFile(argv[0]));
   verify::Constraint c =
       verify::Constraint::parse("constraint", readFile(argv[1]), db.cvars());
-  std::unique_ptr<smt::SolverBase> solver =
-      std::make_unique<smt::NativeSolver>(db.cvars());
-  std::unique_ptr<smt::VerdictCache> cache;
-  if (cacheEntries > 0) {
-    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-    solver->setVerdictCache(cache.get());
-  }
-  superviseSolver(solver, "native", db, sup);
-  std::unique_ptr<obs::Tracer> tracer = makeTracer(obsFlags);
-  solver->setTracer(tracer.get());
-  ResourceGuard guard(limits);
-  if (guard.active()) {
-    solver->setGuard(&guard);
-    if (tracer != nullptr) {
-      guard.onTrip([&tracer](Budget, const std::string& reason) {
-        tracer->event("budget.trip", reason);
-      });
-    }
-  }
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), o.solver);
+  std::unique_ptr<obs::Tracer> tracer = makeTracer(o.obs);
+  ResourceGuard guard(o.limits);
+  smt::attachGuardAndTracer(*stack.solver, guard, tracer.get());
   verify::StateCheck check;
   {
     obs::Span top(tracer.get(), "check");
@@ -1083,9 +998,9 @@ int cmdCheck(int argc, char** argv) {
       top.note("database", argv[0]);
       top.note("constraint", argv[1]);
     }
-    check = verify::RelativeVerifier::checkOnState(c, db, *solver);
+    check = verify::RelativeVerifier::checkOnState(c, db, *stack.solver);
   }
-  if (!obsFlags.quietStdout()) {
+  if (!o.obs.quietStdout()) {
     std::printf("verdict: %s\n",
                 std::string(verify::verdictText(check.verdict)).c_str());
     if (check.verdict == verify::Verdict::ConditionallyViolated) {
@@ -1096,10 +1011,10 @@ int cmdCheck(int argc, char** argv) {
       std::printf("reason: %s (budget tripped; rerun with more resources)\n",
                   check.reason.c_str());
     }
-    if (obsFlags.stats) {
+    if (o.obs.stats) {
       obs::MetricsSnapshot snap = tracer->metrics().snapshot();
       printSolverStats(snap);
-      if (sup.enabled) printSuperviseStats(snap);
+      if (o.solver.supervision.enabled) printSuperviseStats(snap);
     }
   }
   if (tracer != nullptr) {
@@ -1108,9 +1023,9 @@ int cmdCheck(int argc, char** argv) {
     meta.add("database", argv[0]);
     meta.add("constraint", argv[1]);
     meta.add("verdict", std::string(verify::verdictText(check.verdict)));
-    addSupervisionMeta(meta, sup);
+    addSupervisionMeta(meta, o.solver.supervision);
     if (check.incomplete) meta.add("incomplete", check.reason);
-    exportObs(*tracer, obsFlags, meta);
+    exportObs(*tracer, o.obs, meta);
   }
   // Exit-code contract (see the file header): any *definite* verdict —
   // holds, violated, conditionally-violated — is a successful analysis

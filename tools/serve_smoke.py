@@ -9,7 +9,10 @@ what-if fixtures and a batch `whatif --scenarios` run:
   2. stdin    — `faure serve` line protocol over a pipe: READY
                 handshake, PING/PONG, EVAL + GO round-trip with a
                 byte-counted RESULT payload, graceful drain on QUIT.
-  3. socket   — `faure serve --socket PATH`: same protocol over an
+  3. long     — a 2 MiB request line over stdin: the server answers
+                `ERR line too long`, skips the line, and the same
+                connection still answers PING with PONG.
+  4. socket   — `faure serve --socket PATH`: same protocol over an
                 AF_UNIX socket, then SHUTDOWN stops the server with
                 exit 0 and unlinks the socket path.
 
@@ -86,6 +89,21 @@ def check_stdin(faure, db, prog):
     print(f"serve_smoke: stdin ok (RESULT q1 exit 0, {len(body)} bytes)")
 
 
+def check_long_line(faure, db, prog):
+    conversation = b"EVAL big " + b"a" * (2 << 20) + b"\nPING\nQUIT\n"
+    proc = subprocess.run(
+        [faure, "serve", db, prog],
+        input=conversation, capture_output=True, timeout=600,
+    )
+    if proc.returncode != 0:
+        fail(f"long-line serve exited {proc.returncode}: "
+             f"{proc.stderr[:200]!r}")
+    want = b"READY\nERR line too long\nPONG\n"
+    if proc.stdout != want:
+        fail(f"long-line serve: expected {want!r}, got {proc.stdout[:80]!r}")
+    print("serve_smoke: long line ok (ERR line too long, then PONG)")
+
+
 def check_socket(faure, db, prog):
     path = os.path.join(tempfile.mkdtemp(prefix="faure_serve_"), "sock")
     server = subprocess.Popen(
@@ -142,6 +160,7 @@ def main():
     opts = ap.parse_args()
     check_batch(opts.faure, opts.db, opts.prog, opts.scenarios)
     check_stdin(opts.faure, opts.db, opts.prog)
+    check_long_line(opts.faure, opts.db, opts.prog)
     check_socket(opts.faure, opts.db, opts.prog)
     print("serve_smoke: all front-ends ok")
 
