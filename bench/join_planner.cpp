@@ -50,8 +50,7 @@
 #include "faurelog/eval.hpp"
 #include "faurelog/textio.hpp"
 #include "obs/report.hpp"
-#include "smt/solver.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/timer.hpp"
 
 using namespace faure;
@@ -114,19 +113,13 @@ ModeResult runMode(const std::string& dbText, fl::PlanMode plan,
   for (size_t rep = 0; rep < reps; ++rep) {
     rel::Database db = fl::parseDatabase(dbText);
     dl::Program program = dl::parseProgram(kProgram, db.cvars());
-    smt::NativeSolver solver(db.cvars());
-    std::unique_ptr<smt::VerdictCache> cache;
-    const size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-    if (cacheEntries > 0) {
-      cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-      solver.setVerdictCache(cache.get());
-    }
+    smt::SolverStack stack = smt::buildSolverStack(db.cvars(), {});
     fl::EvalOptions opts;
     opts.plan = plan;
     opts.tracer = tracer;
     util::Stopwatch watch;
     watch.lap();
-    fl::EvalResult res = fl::evalFaure(program, db, &solver, opts);
+    fl::EvalResult res = fl::evalFaure(program, db, stack.solver.get(), opts);
     const double wall = watch.lap();
     if (rep == 0 || wall < out.wallSeconds) out.wallSeconds = wall;
     out.incomplete = res.incomplete;

@@ -66,7 +66,7 @@
 
 #include "net/pipeline.hpp"
 #include "obs/report.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "smt/z3_solver.hpp"
 #include "util/resource_guard.hpp"
 #include "util/timer.hpp"
@@ -201,25 +201,15 @@ Run runOnce(const Config& c, size_t cacheEntries, const ResourceLimits& limits,
   cfg.numPrefixes = c.n;
   rel::Database db;
   net::RibGenResult rib = net::generateRib(db, cfg);
-  smt::NativeSolver solver(db.cvars());
-  std::unique_ptr<smt::VerdictCache> cache;
-  if (!c.nocache && cacheEntries > 0) {
-    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-    solver.setVerdictCache(cache.get());
-  }
+  smt::SolverStackOptions sopts;
+  sopts.cacheEntries = c.nocache ? 0 : cacheEntries;
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), sopts);
   ResourceGuard guard(limits);
+  smt::attachGuardAndTracer(*stack.solver, guard, tracer);
   fl::EvalOptions opts;
   opts.threads = static_cast<unsigned>(c.threads);
   opts.tracer = tracer;
-  if (guard.active()) {
-    opts.guard = &guard;
-    solver.setGuard(&guard);
-    if (tracer != nullptr && !c.nocache) {
-      guard.onTrip([tracer](Budget, const std::string& reason) {
-        tracer->event("budget.trip", reason);
-      });
-    }
-  }
+  if (guard.active()) opts.guard = &guard;
   std::string tag = "table4[size=" + std::to_string(c.n) + "]";
   if (c.nocache) {
     tag += "[nocache]";
@@ -230,11 +220,11 @@ Run runOnce(const Config& c, size_t cacheEntries, const ResourceLimits& limits,
   util::Stopwatch watch;
   {
     obs::Span span(tracer, tag);
-    run.result = net::runTable4(db, rib, solver, opts);
+    run.result = net::runTable4(db, rib, *stack.solver, opts);
   }
   run.wall = watch.elapsed();
-  run.solver = solver.stats();
-  if (cache != nullptr) run.cache = cache->stats();
+  run.solver = stack.solver->stats();
+  if (stack.cache != nullptr) run.cache = stack.cache->stats();
   run.governed = guard.active();
   return run;
 }

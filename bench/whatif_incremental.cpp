@@ -48,8 +48,7 @@
 #include "faurelog/incremental.hpp"
 #include "faurelog/textio.hpp"
 #include "obs/report.hpp"
-#include "smt/solver.hpp"
-#include "smt/verdict_cache.hpp"
+#include "smt/solver_stack.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -160,17 +159,11 @@ ModeResult runMode(size_t links, const std::string& dbText,
   dl::Program program = dl::parseProgram(progText, db.cvars());
   std::vector<fl::Edit> edits = fl::parseEditScript(editText, db);
 
-  smt::NativeSolver solver(db.cvars());
-  std::unique_ptr<smt::VerdictCache> cache;
-  const size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
-  if (cacheEntries > 0) {
-    cache = std::make_unique<smt::VerdictCache>(db.cvars(), cacheEntries);
-    solver.setVerdictCache(cache.get());
-  }
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), {});
 
   fl::EvalOptions opts;
   if (tracer != nullptr) opts.tracer = tracer;
-  fl::IncrementalEngine eng(std::move(program), db, &solver, opts);
+  fl::IncrementalEngine eng(std::move(program), db, stack.solver.get(), opts);
   eng.setIncremental(incremental);
 
   ModeResult out;

@@ -163,8 +163,8 @@ class Session {
   fl::IncrementalEngine* incrementalEngine() { return inc_.get(); }
 
   /// Forks the session state into a concurrent scenario service
-  /// (DESIGN.md §12): the returned ScenarioSet owns a deep copy of the
-  /// current database plus `programText` parsed against it, inherits
+  /// (DESIGN.md §12): the returned ScenarioSet owns an independent
+  /// (copy-on-write) copy of the current database plus `programText` parsed against it, inherits
   /// the session's evaluation defaults (options().threads becomes the
   /// scenario fan-out width), tracer, resource limits (applied *per
   /// scenario*) and whole solver stack description: backend, supervision

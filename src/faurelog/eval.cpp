@@ -375,12 +375,11 @@ class FaureEvaluator {
   /// `keyArgs`, with build-vs-extension accounting. Engine thread only.
   const rel::JoinIndex* ensureIndex(const rel::CTable& table,
                                     const std::vector<size_t>& keyArgs) {
-    const rel::JoinIndex* existing = table.findJoinIndex(keyArgs);
-    size_t before = existing != nullptr ? existing->builtUpTo() : 0;
-    const rel::JoinIndex& idx = table.ensureJoinIndex(keyArgs);
-    if (existing == nullptr) {
+    rel::CTable::IndexUpkeep upkeep;
+    const rel::JoinIndex& idx = table.ensureJoinIndex(keyArgs, &upkeep);
+    if (upkeep == rel::CTable::IndexUpkeep::Built) {
       ++planStats_.indexBuilds;
-    } else if (idx.builtUpTo() > before) {
+    } else if (upkeep == rel::CTable::IndexUpkeep::Extended) {
       ++planStats_.indexExtensions;
     }
     return &idx;

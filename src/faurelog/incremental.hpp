@@ -136,8 +136,8 @@ class IncrementalEngine {
   /// database must currently equal the EDB the adopted state was
   /// derived from (ScenarioSet guarantees both by construction: forks
   /// clone the base database and share the base program). The delta
-  /// index is program-derived and kept; tables are copied, carrying
-  /// their persistent JoinIndexes.
+  /// index is program-derived and kept; tables are copy-on-write
+  /// copies, sharing their rows and persistent JoinIndexes.
   void adoptState(const IncrementalState& state);
 
   const IncrementalState& state() const { return state_; }

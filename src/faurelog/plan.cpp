@@ -134,15 +134,15 @@ double estimateRows(const RuleShape& shape, size_t lit,
   keyArgs.reserve(probes.size());
   for (const auto& p : probes) keyArgs.push_back(p.arg);
   const rel::CTable* table = stats[lit].table;
-  const rel::JoinIndex* idx =
-      table != nullptr ? table->findJoinIndex(keyArgs) : nullptr;
-  if (idx != nullptr && idx->builtUpTo() > 0) {
+  rel::JoinIndexStats idx;
+  if (table != nullptr && table->joinIndexStats(keyArgs, idx) &&
+      idx.builtUpTo > 0) {
     // Live statistics: expected bucket size plus the wild rows every
     // probe must visit, scaled to the fraction of the table in range.
-    double avgBucket = static_cast<double>(idx->indexedRows()) /
-                       static_cast<double>(std::max<size_t>(1, idx->bucketCount()));
-    double est = (avgBucket + static_cast<double>(idx->wildCount())) *
-                 (n / static_cast<double>(idx->builtUpTo()));
+    double avgBucket = static_cast<double>(idx.indexedRows) /
+                       static_cast<double>(std::max<size_t>(1, idx.bucketCount));
+    double est = (avgBucket + static_cast<double>(idx.wildCount)) *
+                 (n / static_cast<double>(idx.builtUpTo));
     *fromIndex = true;
     return est;
   }

@@ -10,10 +10,13 @@
 // ScenarioSet amortizes that shared prefix. It evaluates the base
 // program once, retains the completed IncrementalEngine state, and then
 // serves N independent edit scripts ("scenarios") by *forking* the
-// snapshot: each scenario gets a deep copy of the database (registry
-// ids, tables and their persistent JoinIndexes survive the copy) plus a
-// copy of the retained per-stratum c-tables, so its first reevaluation
-// re-fires only the strata its own edits reach. Forks share the
+// snapshot: each scenario gets a copy of the database (registry ids
+// survive the copy; tables are copy-on-write, so only the ones its edits
+// write are ever copied, and their persistent JoinIndexes are shared)
+// plus the retained per-stratum c-tables, so its first reevaluation
+// re-fires only the strata its own edits reach. Tables the edits did
+// not reach keep the base's content stamps, and their text is copied
+// from the base epoch's rendering rather than rendered again. Forks share the
 // read-only parts — the program, the process-wide FormulaInterner, and
 // one mutex-protected VerdictCache — so scenario verdicts dedupe
 // across the whole set.
@@ -39,6 +42,7 @@
 #include "datalog/ast.hpp"
 #include "faurelog/eval.hpp"
 #include "faurelog/incremental.hpp"
+#include "faurelog/textio.hpp"
 #include "relational/database.hpp"
 #include "smt/solver_stack.hpp"
 #include "util/resource_guard.hpp"
@@ -149,6 +153,10 @@ class ScenarioSet {
   /// Epoch-0 bytes (`== epoch 0: initial ==` + tables), rendered once
   /// and prefix-shared by every outcome.
   std::string baseOutput_;
+  /// Keeps the base tables' bytes from prepare(). A fork's retained
+  /// tables share the base's bodies and stamps, so every later epoch
+  /// copies their bytes instead of rendering them again.
+  RelationRenderer renderer_;
 };
 
 }  // namespace faure::fl

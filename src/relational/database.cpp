@@ -7,7 +7,7 @@ namespace faure::rel {
 Database Database::clone() const {
   Database fork;
   fork.cvars_ = cvars_;    // member-wise copy: CVarIds and domains survive
-  fork.tables_ = tables_;  // CTable copies carry their JoinIndexes
+  fork.tables_ = tables_;  // CTable copies share their bodies
   return fork;
 }
 

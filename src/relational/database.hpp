@@ -20,12 +20,12 @@ class Database {
   Database(Database&&) = default;
   Database& operator=(Database&&) = default;
 
-  /// Explicit deep copy for snapshot forking (scenario.hpp): the
-  /// registry copy preserves every CVarId and domain, table copies
-  /// carry their persistent JoinIndexes, and the shared-structure parts
-  /// of each row (interned formulas and symbols) stay shared. Forks are
-  /// fully independent for mutation — edits to a clone never touch the
-  /// original.
+  /// Explicit copy for snapshot forking (scenario.hpp): the registry
+  /// copy preserves every CVarId and domain, and each table copy shares
+  /// the original's copy-on-write body (rows and persistent
+  /// JoinIndexes) until either side writes it. Forks are fully
+  /// independent for mutation — edits to a clone never touch the
+  /// original, nor edits to the original the clone.
   Database clone() const;
 
   CVarRegistry& cvars() { return cvars_; }

@@ -130,25 +130,39 @@ size_t LinTerm::hash() const {
   return static_cast<size_t>(h);
 }
 
-std::string LinTerm::toString(const CVarRegistry* reg) const {
-  std::string out;
+void LinTerm::appendTo(std::string& out, const CVarRegistry* reg) const {
+  if (coefs.empty()) {
+    appendInt(out, cst);
+    return;
+  }
   for (size_t i = 0; i < coefs.size(); ++i) {
     const auto& [v, c] = coefs[i];
     if (i == 0) {
-      if (c == -1) out += "-";
-      else if (c != 1) out += std::to_string(c) + "*";
+      if (c == -1) {
+        out += '-';
+      } else if (c != 1) {
+        appendInt(out, c);
+        out += '*';
+      }
     } else {
       out += c < 0 ? " - " : " + ";
       int64_t a = c < 0 ? -c : c;
-      if (a != 1) out += std::to_string(a) + "*";
+      if (a != 1) {
+        appendInt(out, a);
+        out += '*';
+      }
     }
-    out += Value::cvar(v).toString(reg);
+    Value::cvar(v).appendTo(out, reg);
   }
-  if (coefs.empty()) return std::to_string(cst);
   if (cst != 0) {
     out += cst < 0 ? " - " : " + ";
-    out += std::to_string(cst < 0 ? -cst : cst);
+    appendInt(out, cst < 0 ? -cst : cst);
   }
+}
+
+std::string LinTerm::toString(const CVarRegistry* reg) const {
+  std::string out;
+  appendTo(out, reg);
   return out;
 }
 
@@ -439,34 +453,54 @@ Formula Formula::deMorgan(const Formula& f) {
   return f;
 }
 
-std::string Formula::toString(const CVarRegistry* reg) const {
+void Formula::appendTo(std::string& out, const CVarRegistry* reg) const {
   const auto& n = node();
   switch (n.kind) {
     case Kind::True:
-      return "true";
+      out += "true";
+      return;
     case Kind::False:
-      return "false";
+      out += "false";
+      return;
     case Kind::Cmp:
-      return n.lhs.toString(reg) + " " + std::string(opText(n.op)) + " " +
-             n.rhs.toString(reg);
+      n.lhs.appendTo(out, reg);
+      out += ' ';
+      out += opText(n.op);
+      out += ' ';
+      n.rhs.appendTo(out, reg);
+      return;
     case Kind::Lin:
-      return n.lin.toString(reg) + " " + std::string(opText(n.op)) + " 0";
+      n.lin.appendTo(out, reg);
+      out += ' ';
+      out += opText(n.op);
+      out += " 0";
+      return;
     case Kind::Not:
-      return "!(" + n.kids[0].toString(reg) + ")";
+      out += "!(";
+      n.kids[0].appendTo(out, reg);
+      out += ')';
+      return;
     case Kind::And:
     case Kind::Or: {
-      std::string sep = n.kind == Kind::And ? " & " : " | ";
-      std::string out;
+      const char* sep = n.kind == Kind::And ? " & " : " | ";
       for (size_t i = 0; i < n.kids.size(); ++i) {
         if (i > 0) out += sep;
         const auto& k = n.kids[i];
         bool paren = k.kind() == Kind::And || k.kind() == Kind::Or;
-        out += paren ? "(" + k.toString(reg) + ")" : k.toString(reg);
+        if (paren) out += '(';
+        k.appendTo(out, reg);
+        if (paren) out += ')';
       }
-      return out;
+      return;
     }
   }
-  return "?";
+  out += '?';
+}
+
+std::string Formula::toString(const CVarRegistry* reg) const {
+  std::string out;
+  appendTo(out, reg);
+  return out;
 }
 
 namespace {

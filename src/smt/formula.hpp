@@ -63,6 +63,8 @@ struct LinTerm {
   }
 
   size_t hash() const;
+  /// Renders "2*x_ - y_ + 3", appended to `out`.
+  void appendTo(std::string& out, const CVarRegistry* reg = nullptr) const;
   std::string toString(const CVarRegistry* reg = nullptr) const;
 };
 
@@ -177,7 +179,10 @@ class Formula {
 
   size_t hash() const { return node_->hash; }
 
-  /// Renders in the paper's notation, e.g. "x_ = [ABC] | x_ = [ADEC]".
+  /// Renders in the paper's notation, e.g. "x_ = [ABC] | x_ = [ADEC]",
+  /// appended to `out` (one buffer for the whole tree: no temporaries).
+  void appendTo(std::string& out, const CVarRegistry* reg = nullptr) const;
+  /// appendTo into a fresh string.
   std::string toString(const CVarRegistry* reg = nullptr) const;
 
   /// Collects all c-variables occurring in the formula into `out`.

@@ -54,14 +54,19 @@ const std::vector<SymbolId>& PathTable::elems(PathId id) const {
 }
 
 std::string PathTable::text(PathId id) const {
-  std::string out = "[";
+  std::string out;
+  appendText(id, out);
+  return out;
+}
+
+void PathTable::appendText(PathId id, std::string& out) const {
+  out += '[';
   const auto& es = elems(id);
   for (size_t i = 0; i < es.size(); ++i) {
     if (i > 0) out += ' ';
     out += SymbolTable::instance().text(es[i]);
   }
   out += ']';
-  return out;
 }
 
 }  // namespace faure::util

@@ -67,6 +67,8 @@ class PathTable {
 
   /// Renders a path as "[A B C]".
   std::string text(PathId id) const;
+  /// text(id), appended to `out`.
+  void appendText(PathId id, std::string& out) const;
 
   size_t size() const;
 

@@ -136,27 +136,49 @@ size_t Value::hash() const {
   return static_cast<size_t>(z ^ (z >> 31));
 }
 
-std::string Value::toString(const CVarRegistry* reg) const {
+void appendInt(std::string& out, int64_t v) {
+  char buf[20];
+  auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, res.ptr);
+}
+
+void Value::appendTo(std::string& out, const CVarRegistry* reg) const {
   switch (kind_) {
     case Kind::Int:
-      return std::to_string(int_);
+      appendInt(out, int_);
+      return;
     case Kind::Sym:
-      return util::symText(sym_);
+      out += util::symText(sym_);
+      return;
     case Kind::Path:
-      return util::PathTable::instance().text(path_);
-    case Kind::Prefix: {
-      std::string out = std::to_string((pfx_.addr >> 24) & 0xff) + "." +
-                        std::to_string((pfx_.addr >> 16) & 0xff) + "." +
-                        std::to_string((pfx_.addr >> 8) & 0xff) + "." +
-                        std::to_string(pfx_.addr & 0xff);
-      if (pfx_.len != 32) out += "/" + std::to_string(pfx_.len);
-      return out;
-    }
+      util::PathTable::instance().appendText(path_, out);
+      return;
+    case Kind::Prefix:
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        appendInt(out, (pfx_.addr >> shift) & 0xff);
+        if (shift > 0) out += '.';
+      }
+      if (pfx_.len != 32) {
+        out += '/';
+        appendInt(out, pfx_.len);
+      }
+      return;
     case Kind::CVar:
-      if (reg != nullptr && var_ < reg->size()) return reg->info(var_).name;
-      return "?" + std::to_string(var_);
+      if (reg != nullptr && var_ < reg->size()) {
+        out += reg->info(var_).name;
+      } else {
+        out += '?';
+        appendInt(out, var_);
+      }
+      return;
   }
-  return "?";
+  out += '?';
+}
+
+std::string Value::toString(const CVarRegistry* reg) const {
+  std::string out;
+  appendTo(out, reg);
+  return out;
 }
 
 size_t hashValues(const std::vector<Value>& vals) {

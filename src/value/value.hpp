@@ -127,8 +127,11 @@ class Value {
 
   size_t hash() const;
 
-  /// Human-readable rendering. If `reg` is given, c-variables print their
-  /// declared name ("x_"), otherwise "?<id>".
+  /// Human-readable rendering, appended to `out`. If `reg` is given,
+  /// c-variables print their declared name ("x_"), otherwise "?<id>".
+  void appendTo(std::string& out, const CVarRegistry* reg = nullptr) const;
+
+  /// appendTo into a fresh string.
   std::string toString(const CVarRegistry* reg = nullptr) const;
 
  private:
@@ -150,6 +153,10 @@ class Value {
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.hash(); }
 };
+
+/// Appends the decimal text of `v` (std::to_string's digits, no
+/// allocation).
+void appendInt(std::string& out, int64_t v);
 
 /// Hash of a value sequence (tuple data part).
 size_t hashValues(const std::vector<Value>& vals);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "relational/database.hpp"
 #include "util/error.hpp"
 
 namespace faure::rel {
@@ -142,6 +145,155 @@ TEST_F(CTableTest, SchemaHelpers) {
   Schema r = s.renamed("Q");
   EXPECT_EQ(r.name(), "Q");
   EXPECT_EQ(r.arity(), 2u);
+}
+
+// ---- copy-on-write bodies and the content stamp ----
+
+TEST_F(CTableTest, CopiesShareAStampAndNewTablesGetFreshOnes) {
+  CTable t(pathSchema());
+  t.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  CTable copy = t;
+  CTable assigned;
+  assigned = t;
+  EXPECT_EQ(copy.stamp(), t.stamp());
+  EXPECT_EQ(assigned.stamp(), t.stamp());
+  CTable moved = std::move(assigned);
+  EXPECT_EQ(moved.stamp(), t.stamp());
+  // Two tables built the same way are still distinct contents.
+  CTable other(pathSchema());
+  other.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  EXPECT_NE(other.stamp(), t.stamp());
+  EXPECT_NE(CTable(pathSchema()).stamp(), CTable(pathSchema()).stamp());
+}
+
+TEST_F(CTableTest, EveryMutationTakesAFreshStamp) {
+  Formula c1 = Formula::cmp(Value::cvar(x_), CmpOp::Eq, path({"ABC"}));
+  Formula c2 = Formula::cmp(Value::cvar(x_), CmpOp::Eq, path({"ADEC"}));
+  CTable t(pathSchema());
+  t.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  // Each mutator runs on a fresh copy: the copy must move to a stamp no
+  // table has had, and the original keeps its own.
+  auto fresh = [&](const std::function<void(CTable&)>& mutate) {
+    CTable copy = t;
+    uint64_t before = copy.stamp();
+    mutate(copy);
+    EXPECT_NE(copy.stamp(), before);
+    EXPECT_EQ(t.stamp(), before);
+  };
+  fresh([&](CTable& c) { c.insertConcrete({dest("5.6.7.8"), path({"D"})}); });
+  fresh([&](CTable& c) { c.insert({dest("1.2.3.5"), Value::cvar(x_)}, c1); });
+  fresh([&](CTable& c) { c.append({dest("1.2.3.4"), path({"ABC"})}, c1); });
+  fresh([&](CTable& c) { c.pruneIf([](const Row&) { return true; }); });
+  fresh([&](CTable& c) { c.eraseWithData({dest("1.2.3.4"), path({"ABC"})}); });
+  fresh([&](CTable& c) { c.setCondition(0, c2); });
+  fresh([&](CTable& c) { c = CTable(Schema("Q", pathSchema().attributes())); });
+  fresh([&](CTable& c) {
+    c.append({dest("1.2.3.4"), path({"ABC"})}, c1);
+    uint64_t appended = c.stamp();
+    c.consolidate();  // merges the duplicate data part
+    EXPECT_NE(c.stamp(), appended);
+  });
+  // A condition that grows on an existing data part is a change too.
+  CTable cond(pathSchema());
+  cond.insert({dest("1.2.3.4"), Value::cvar(x_)}, c1);
+  uint64_t before = cond.stamp();
+  EXPECT_TRUE(cond.insert({dest("1.2.3.4"), Value::cvar(x_)}, c2));
+  EXPECT_NE(cond.stamp(), before);
+}
+
+TEST_F(CTableTest, NoOpMutationsKeepTheStampAndTheSharing) {
+  CTable t(pathSchema());
+  t.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  CTable copy = t;
+  const Row* shared = &t.rows()[0];
+  EXPECT_FALSE(copy.insertConcrete({dest("1.2.3.4"), path({"ABC"})}));
+  EXPECT_FALSE(copy.insert({dest("5.6.7.8"), path({"D"})}, Formula::bottom()));
+  EXPECT_EQ(copy.pruneIf([](const Row&) { return false; }), 0u);
+  EXPECT_EQ(copy.eraseWithData({dest("9.9.9.9"), path({"Z"})}), 0u);
+  copy.consolidate();  // nothing merges
+  EXPECT_EQ(copy.stamp(), t.stamp());
+  EXPECT_EQ(&copy.rows()[0], shared);  // still one body
+}
+
+TEST_F(CTableTest, WritesThroughACloneNeverShowThroughTheBase) {
+  Database base;
+  base.create(pathSchema()).insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  const std::string before = base.table("P").toString();
+  Database fork = base.clone();
+  EXPECT_EQ(fork.table("P").stamp(), base.table("P").stamp());
+  fork.table("P").insertConcrete({dest("5.6.7.8"), path({"D"})});
+  fork.table("P").setCondition(
+      0, Formula::cmp(Value::cvar(x_), CmpOp::Eq, path({"ABC"})));
+  EXPECT_EQ(base.table("P").toString(), before);
+  EXPECT_EQ(base.table("P").size(), 1u);
+  EXPECT_EQ(fork.table("P").size(), 2u);
+  EXPECT_NE(fork.table("P").stamp(), base.table("P").stamp());
+}
+
+TEST_F(CTableTest, WritesThroughTheBaseNeverShowThroughAClone) {
+  Database base;
+  base.create(pathSchema()).insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  Database fork = base.clone();
+  const std::string forked = fork.table("P").toString();
+  const uint64_t stamp = fork.table("P").stamp();
+  base.table("P").insertConcrete({dest("5.6.7.8"), path({"D"})});
+  base.table("P").eraseWithData({dest("1.2.3.4"), path({"ABC"})});
+  EXPECT_EQ(fork.table("P").toString(), forked);
+  EXPECT_EQ(fork.table("P").stamp(), stamp);
+  EXPECT_EQ(fork.table("P").rowsWithData({dest("1.2.3.4"), path({"ABC"})}),
+            (std::vector<size_t>{0}));
+  EXPECT_TRUE(
+      base.table("P").rowsWithData({dest("1.2.3.4"), path({"ABC"})}).empty());
+}
+
+TEST_F(CTableTest, EnsureJoinIndexOnASharedTableLeavesTheOtherCopyIntact) {
+  CTable t(pathSchema());
+  t.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  t.insertConcrete({dest("5.6.7.8"), path({"ABC"})});
+  t.insert({dest("9.9.9.9"), Value::cvar(x_)},
+           Formula::cmp(Value::cvar(x_), CmpOp::Eq, path({"D"})));
+  const std::string before = t.toString();
+  CTable copy = t;
+  CTable::IndexUpkeep upkeep;
+  const JoinIndex& idx = copy.ensureJoinIndex({1}, &upkeep);
+  EXPECT_EQ(upkeep, CTable::IndexUpkeep::Built);
+  size_t h = JoinIndex::hashStep(JoinIndex::hashInit(), path({"ABC"}));
+  ASSERT_NE(idx.bucket(h), nullptr);
+  EXPECT_EQ(*idx.bucket(h), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(idx.wildRows(), (std::vector<size_t>{2}));
+  // The index is a cache in the shared body: the other copy probes the
+  // same rows, and its rows, stamp and text did not move.
+  const JoinIndex& same = t.ensureJoinIndex({1}, &upkeep);
+  EXPECT_EQ(upkeep, CTable::IndexUpkeep::None);
+  EXPECT_EQ(&same, &idx);
+  EXPECT_EQ(t.toString(), before);
+  EXPECT_EQ(t.stamp(), copy.stamp());
+  // A write detaches the writer with its own copy of the index; the
+  // other copy keeps probing the original rows.
+  copy.insertConcrete({dest("1.1.1.1"), path({"ABC"})});
+  EXPECT_EQ(*copy.ensureJoinIndex({1}).bucket(h),
+            (std::vector<size_t>{0, 1, 3}));
+  EXPECT_EQ(*t.ensureJoinIndex({1}).bucket(h), (std::vector<size_t>{0, 1}));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.toString(), before);
+  JoinIndexStats stats;
+  ASSERT_TRUE(t.joinIndexStats({1}, stats));
+  EXPECT_EQ(stats.builtUpTo, 3u);
+  EXPECT_EQ(stats.indexedRows, 2u);
+  EXPECT_EQ(stats.wildCount, 1u);
+  EXPECT_FALSE(t.joinIndexStats({0}, stats));
+}
+
+TEST_F(CTableTest, MovedFromTableReadsEmpty) {
+  CTable t(pathSchema());
+  t.insertConcrete({dest("1.2.3.4"), path({"ABC"})});
+  CTable moved = std::move(t);
+  EXPECT_EQ(moved.size(), 1u);
+  // NOLINTNEXTLINE(bugprone-use-after-move): the state is specified.
+  EXPECT_TRUE(t.empty());
+  EXPECT_EQ(t.schema().arity(), 0u);
+  t = moved;
+  EXPECT_EQ(t.size(), 1u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "util/error.hpp"
 
 namespace faure::rel {
@@ -72,6 +74,71 @@ TEST(DatabaseTest, RegistryAssignmentPreservesIds) {
   // The copy is independent.
   db.cvars().declare("extra_", ValueType::Sym);
   EXPECT_EQ(reg.find("extra_"), CVarRegistry::kNotFound);
+}
+
+/// What one scenario lane observes of its fork: every table's text, the
+/// rows each join index returns for every key present, and the text
+/// after its own write.
+std::vector<std::string> probeFork(const Database& base) {
+  Database fork = base.clone();
+  std::vector<std::string> seen;
+  for (const auto& [name, table] : fork.tables()) {
+    for (size_t col = 0; col < table.schema().arity(); ++col) {
+      const JoinIndex& idx = table.ensureJoinIndex({col});
+      std::string probes = name + "[" + std::to_string(col) + "]:";
+      for (const Row& row : table.rows()) {
+        size_t h = JoinIndex::hashStep(JoinIndex::hashInit(), row.vals[col]);
+        const std::vector<size_t>* bucket = idx.bucket(h);
+        probes += " " + std::to_string(bucket != nullptr ? bucket->size() : 0);
+      }
+      probes += " wild " + std::to_string(idx.wildCount());
+      seen.push_back(std::move(probes));
+    }
+    seen.push_back(table.toString(&fork.cvars()));
+  }
+  // A write detaches this fork's table from the shared body while the
+  // other lanes keep probing and rendering it.
+  CTable& t = fork.table("T");
+  t.insertConcrete({Value::fromInt(-1), Value::fromInt(-2)});
+  t.ensureJoinIndex({0});
+  seen.push_back(t.toString(&fork.cvars()));
+  return seen;
+}
+
+Database conditionalBase() {
+  Database base;
+  CVarId x = base.cvars().declareInt("x_", 0, 3);
+  CTable& t = base.create(s("T", 2));
+  CTable& u = base.create(s("U", 2));
+  for (int i = 0; i < 400; ++i) {
+    Value a = Value::fromInt(i % 37);
+    Value b = i % 11 == 0 ? Value::cvar(x) : Value::fromInt(i % 5);
+    t.insert({a, b}, smt::Formula::cmp(Value::cvar(x), smt::CmpOp::Ne,
+                                       Value::fromInt(i % 4)));
+    u.insertConcrete({Value::fromInt(i), Value::fromInt(i % 7)});
+  }
+  return base;
+}
+
+TEST(DatabaseTest, ConcurrentClonesShareIndexesAndRenderAsSerial) {
+  const std::vector<std::string> serial = probeFork(conditionalBase());
+
+  // Four lanes clone one base whose bodies have no indexes yet, then
+  // build, probe and render the indexes of the bodies they share, all
+  // at once.
+  const Database base = conditionalBase();
+  const std::string before = base.toString();
+  constexpr size_t kLanes = 4;
+  std::vector<std::vector<std::string>> lanes(kLanes);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kLanes; ++i) {
+    threads.emplace_back([&, i] { lanes[i] = probeFork(base); });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t i = 0; i < kLanes; ++i) EXPECT_EQ(lanes[i], serial) << i;
+  // No lane's write reached the base.
+  EXPECT_EQ(base.toString(), before);
+  EXPECT_EQ(base.table("T").joinIndexCount(), 2u);
 }
 
 }  // namespace

@@ -12,7 +12,11 @@ what-if fixtures and a batch `whatif --scenarios` run:
   3. long     — a 2 MiB request line over stdin: the server answers
                 `ERR line too long`, skips the line, and the same
                 connection still answers PING with PONG.
-  4. socket   — `faure serve --socket PATH`: same protocol over an
+  4. batch-full — 65 EVALs before one GO: the server queues 64
+                (kMaxServeBatch), answers the 65th with `ERR batch
+                full`, still answers PING, and on GO returns all 64
+                queued requests in order.
+  5. socket   — `faure serve --socket PATH`: same protocol over an
                 AF_UNIX socket, then SHUTDOWN stops the server with
                 exit 0 and unlinks the socket path.
 
@@ -104,6 +108,33 @@ def check_long_line(faure, db, prog):
     print("serve_smoke: long line ok (ERR line too long, then PONG)")
 
 
+def check_batch_full(faure, db, prog):
+    bound = 64  # kMaxServeBatch in tools/faure_cli.cpp
+    evals = "".join(f"EVAL b{i} +Acl(web, 8443)\n" for i in range(bound + 1))
+    proc = subprocess.run(
+        [faure, "serve", db, prog],
+        input=(evals + "PING\nGO\nQUIT\n").encode(), capture_output=True,
+        timeout=600,
+    )
+    if proc.returncode != 0:
+        fail(f"batch-full serve exited {proc.returncode}: "
+             f"{proc.stderr[:200]!r}")
+    want = b"READY\nERR batch full\nPONG\n"
+    if not proc.stdout.startswith(want):
+        fail(f"batch-full serve: expected {want!r}, "
+             f"got {proc.stdout[:80]!r}")
+    out = proc.stdout[len(want):]
+    for i in range(bound):
+        sid, code, body, out = parse_result(out, "batch-full serve")
+        if sid != f"b{i}".encode() or code != 0 or not body:
+            fail(f"batch-full serve: bad RESULT {i} (id={sid!r} "
+                 f"exit={code} {len(body)} bytes)")
+    if out:
+        fail(f"batch-full serve: {len(out)} bytes after the last RESULT")
+    print(f"serve_smoke: batch-full ok (ERR batch full, then {bound} "
+          "RESULTs)")
+
+
 def check_socket(faure, db, prog):
     path = os.path.join(tempfile.mkdtemp(prefix="faure_serve_"), "sock")
     server = subprocess.Popen(
@@ -161,6 +192,7 @@ def main():
     check_batch(opts.faure, opts.db, opts.prog, opts.scenarios)
     check_stdin(opts.faure, opts.db, opts.prog)
     check_long_line(opts.faure, opts.db, opts.prog)
+    check_batch_full(opts.faure, opts.db, opts.prog)
     check_socket(opts.faure, opts.db, opts.prog)
     print("serve_smoke: all front-ends ok")
 
