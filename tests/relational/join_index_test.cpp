@@ -54,10 +54,10 @@ TEST_F(JoinIndexTest, WatermarkExtensionCoversOnlyNewRows) {
   t.ensureJoinIndex({1});
   t.insertConcrete({v(2), v(10)});
   t.insertConcrete({v(3), v(30)});
-  // findJoinIndex never builds: the watermark is stale until ensure.
-  const JoinIndex* stale = t.findJoinIndex({1});
-  ASSERT_NE(stale, nullptr);
-  EXPECT_EQ(stale->builtUpTo(), 1u);
+  // joinIndexStats never builds: the watermark is stale until ensure.
+  JoinIndexStats stale;
+  ASSERT_TRUE(t.joinIndexStats({1}, stale));
+  EXPECT_EQ(stale.builtUpTo, 1u);
   const JoinIndex& idx = t.ensureJoinIndex({1});
   EXPECT_EQ(idx.builtUpTo(), 3u);
   EXPECT_EQ(*idx.bucket(hashOf(v(10))), (std::vector<size_t>{0, 1}));
@@ -90,8 +90,9 @@ TEST_F(JoinIndexTest, PruneIfRemapsAllIndexesInPlace) {
     return r.vals[0] == Value::fromInt(1) || r.vals[0] == Value::fromInt(3);
   });
   EXPECT_EQ(removed, 2u);
-  const JoinIndex* idx = t.findJoinIndex({1});
-  ASSERT_NE(idx, nullptr);
+  CTable::IndexUpkeep upkeep;
+  const JoinIndex* idx = &t.ensureJoinIndex({1}, &upkeep);
+  EXPECT_EQ(upkeep, CTable::IndexUpkeep::None);  // remapped, not rebuilt
   // Old rows {0,2,4} (b=0) -> new {0,1,2}; old {5} (b=1) -> {3}; the
   // wild row 6 -> 4. The watermark still covers the whole table.
   EXPECT_EQ(*idx->bucket(hashOf(v(0))), (std::vector<size_t>{0, 1, 2}));
@@ -107,8 +108,9 @@ TEST_F(JoinIndexTest, EmptiedBucketsAreErased) {
   t.insertConcrete({v(2), v(20)});
   t.ensureJoinIndex({1});
   t.eraseWithData({v(1), v(10)});
-  const JoinIndex* idx = t.findJoinIndex({1});
-  ASSERT_NE(idx, nullptr);
+  CTable::IndexUpkeep upkeep;
+  const JoinIndex* idx = &t.ensureJoinIndex({1}, &upkeep);
+  EXPECT_EQ(upkeep, CTable::IndexUpkeep::None);  // remapped, not rebuilt
   EXPECT_EQ(idx->bucket(hashOf(v(10))), nullptr);
   EXPECT_EQ(*idx->bucket(hashOf(v(20))), (std::vector<size_t>{0}));
   EXPECT_EQ(idx->builtUpTo(), 1u);
@@ -136,7 +138,9 @@ TEST_F(JoinIndexTest, ConsolidateWithoutMergeKeepsIndexes) {
   t.ensureJoinIndex({1});
   t.consolidate();  // nothing merges: rows (and indexes) untouched
   EXPECT_EQ(t.joinIndexCount(), 1u);
-  EXPECT_EQ(t.findJoinIndex({1})->builtUpTo(), 2u);
+  JoinIndexStats st;
+  ASSERT_TRUE(t.joinIndexStats({1}, st));
+  EXPECT_EQ(st.builtUpTo, 2u);
 }
 
 TEST_F(JoinIndexTest, CopiesCarryIndexesAcrossEpochs) {
@@ -144,15 +148,17 @@ TEST_F(JoinIndexTest, CopiesCarryIndexesAcrossEpochs) {
   t.insertConcrete({v(1), v(10)});
   t.ensureJoinIndex({1});
   CTable copy = t;  // the incremental engine's epoch retention
-  const JoinIndex* idx = copy.findJoinIndex({1});
-  ASSERT_NE(idx, nullptr);
-  EXPECT_EQ(idx->builtUpTo(), 1u);
+  JoinIndexStats st;
+  ASSERT_TRUE(copy.joinIndexStats({1}, st));
+  EXPECT_EQ(st.builtUpTo, 1u);
   // The copy's index is independent: extending it leaves the original's
   // watermark alone.
   copy.insertConcrete({v(2), v(10)});
   copy.ensureJoinIndex({1});
-  EXPECT_EQ(copy.findJoinIndex({1})->builtUpTo(), 2u);
-  EXPECT_EQ(t.findJoinIndex({1})->builtUpTo(), 1u);
+  ASSERT_TRUE(copy.joinIndexStats({1}, st));
+  EXPECT_EQ(st.builtUpTo, 2u);
+  ASSERT_TRUE(t.joinIndexStats({1}, st));
+  EXPECT_EQ(st.builtUpTo, 1u);
 }
 
 }  // namespace
