@@ -94,6 +94,42 @@ void BM_PruneUnsat(benchmark::State& state) {
 }
 BENCHMARK(BM_PruneUnsat)->Arg(100);
 
+// ---- The data-part table: derive's pattern. Before each append the
+// ---- evaluator asks for the part's merged condition (subsumption), so
+// ---- a part with k rows is looked up k times while it grows.
+
+void BM_ConditionOfThenAppend(benchmark::State& state) {
+  const auto k = static_cast<size_t>(state.range(0));
+  const size_t parts = 4096 / k;
+  CVarRegistry reg;
+  const CVarId x = reg.declare("x_", ValueType::Int);
+  std::vector<std::vector<Value>> data;
+  for (size_t p = 0; p < parts; ++p) {
+    data.push_back({Value::fromInt(static_cast<int64_t>(p)),
+                    Value::fromInt(static_cast<int64_t>(p % 7))});
+  }
+  // Row j of every part carries its own atom, so a part's condition
+  // grows to a k-way disjunction.
+  std::vector<smt::Formula> conds;
+  for (size_t j = 0; j < k; ++j) {
+    conds.push_back(smt::Formula::cmp(Value::cvar(x), smt::CmpOp::Eq,
+                                      Value::fromInt(static_cast<int64_t>(j))));
+  }
+  for (auto _ : state) {
+    rel::CTable t(anySchema("T", 2));
+    // Round-robin over the parts, as the rounds of a fixpoint append.
+    for (size_t j = 0; j < k; ++j) {
+      for (size_t p = 0; p < parts; ++p) {
+        benchmark::DoNotOptimize(t.conditionOf(data[p]));
+        t.append(data[p], conds[j]);
+      }
+    }
+    benchmark::DoNotOptimize(t.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(parts * k));
+}
+BENCHMARK(BM_ConditionOfThenAppend)->Arg(1)->Arg(8)->Arg(64);
+
 // ---- The loss-less payoff (§4): reachability over an FRR chain with k
 // ---- protected links — one c-table query vs 2^k explicit worlds.
 

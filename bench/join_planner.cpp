@@ -16,7 +16,7 @@
 // per-firing local index costs O(N) per round but a persistent
 // rel::JoinIndex is built once and only probed after that.
 //
-// Each size runs twice:
+// Each size runs in two modes:
 //
 //   plan   — EvalOptions::plan = PlanMode::On: greedy selectivity
 //            reorder plus persistent indexes. Recorded as
@@ -26,6 +26,13 @@
 //   noplan — PlanMode::Off, the pristine program-order path. Recorded
 //            as `join[N].noplan.wall_seconds` plus a speedup gauge.
 //
+// Each mode runs FAURE_JOIN_REPS times per size, alternating noplan and
+// plan (the first of the pair swaps every repeat) and going round-robin
+// over the sizes, and the walls recorded (and printed) are the medians:
+// the calibration entry is a few milliseconds, so one burst of host
+// noise must not decide it, and every entry samples the same stretch of
+// time as the entry the gate divides by.
+//
 // Every run's derived tables are rendered to text in both modes and the
 // harness aborts on any byte difference, so a bench run is also a
 // planner byte-identity check on a workload larger than the data/
@@ -33,11 +40,13 @@
 // tracer so the report carries the eval.plan.* counters.
 //
 // Knobs: FAURE_JOIN_SIZES (default "600,1200"), FAURE_JOIN_REPS
-// (best-of, default 3), FAURE_SOLVER_CACHE (verdict cache entries; 0
-// disables), FAURE_BENCH_JSON (report path, default BENCH_join.json,
-// "0" skips), FAURE_BENCH_TRACE=0 detaches the tracer. The report is
+// (runs per mode and size, median taken; default 5),
+// FAURE_SOLVER_CACHE (verdict cache entries; 0 disables),
+// FAURE_BENCH_JSON (report path, default BENCH_join.json, "0" skips),
+// FAURE_BENCH_TRACE=0 detaches the tracer. The report is
 // the span-free bench summary; FAURE_BENCH_FULL_SPANS=1 restores the
 // raw span tree.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -101,34 +110,36 @@ std::string makeDbText(size_t n) {
   return text;
 }
 
-struct ModeResult {
-  double wallSeconds = 0.0;  // best of FAURE_JOIN_REPS evaluations
-  std::string rendering;     // every derived table, text form
+struct RunResult {
+  double wallSeconds = 0.0;
+  std::string rendering;  // every derived table, text form
   bool incomplete = false;
 };
 
-ModeResult runMode(const std::string& dbText, fl::PlanMode plan,
-                   size_t reps, obs::Tracer* tracer) {
-  ModeResult out;
-  for (size_t rep = 0; rep < reps; ++rep) {
-    rel::Database db = fl::parseDatabase(dbText);
-    dl::Program program = dl::parseProgram(kProgram, db.cvars());
-    smt::SolverStack stack = smt::buildSolverStack(db.cvars(), {});
-    fl::EvalOptions opts;
-    opts.plan = plan;
-    opts.tracer = tracer;
-    util::Stopwatch watch;
-    watch.lap();
-    fl::EvalResult res = fl::evalFaure(program, db, stack.solver.get(), opts);
-    const double wall = watch.lap();
-    if (rep == 0 || wall < out.wallSeconds) out.wallSeconds = wall;
-    out.incomplete = res.incomplete;
-    out.rendering.clear();
-    for (const auto& [name, table] : res.idb) {
-      out.rendering += name + "\n" + table.toString(&db.cvars()) + "\n";
-    }
+/// One evaluation of the program in `plan` mode on a fresh parse.
+RunResult runOnce(const std::string& dbText, fl::PlanMode plan,
+                  obs::Tracer* tracer) {
+  rel::Database db = fl::parseDatabase(dbText);
+  dl::Program program = dl::parseProgram(kProgram, db.cvars());
+  smt::SolverStack stack = smt::buildSolverStack(db.cvars(), {});
+  fl::EvalOptions opts;
+  opts.plan = plan;
+  opts.tracer = tracer;
+  util::Stopwatch watch;
+  watch.lap();
+  fl::EvalResult res = fl::evalFaure(program, db, stack.solver.get(), opts);
+  RunResult out;
+  out.wallSeconds = watch.lap();
+  out.incomplete = res.incomplete;
+  for (const auto& [name, table] : res.idb) {
+    out.rendering += name + "\n" + table.toString(&db.cvars()) + "\n";
   }
   return out;
+}
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
 }
 
 std::vector<size_t> parseList(const char* text) {
@@ -152,11 +163,11 @@ int main() {
     sizes = parseList(list);
     if (sizes.empty()) sizes = {600, 1200};
   }
-  size_t reps = 3;
+  size_t reps = 5;
   if (const char* n = std::getenv("FAURE_JOIN_REPS");
       n != nullptr && n[0] != '\0') {
     reps = static_cast<size_t>(std::strtoull(n, nullptr, 10));
-    if (reps == 0) reps = 3;
+    if (reps == 0) reps = 5;
   }
 
   obs::Tracer tracer;
@@ -168,44 +179,76 @@ int main() {
 
   std::printf(
       "---- cost-based join planning vs program order "
-      "(best of %zu evaluations per mode) ----\n",
+      "(median of %zu evaluations per mode) ----\n",
       reps);
   std::printf("%8s | %12s %12s %8s\n", "#rows", "noplan (s)", "plan (s)",
               "speedup");
 
+  struct SizeRuns {
+    std::string dbText;
+    std::vector<double> noplanWalls, planWalls;
+    bool failed = false;  // incomplete or diverged: no row
+  };
+  std::vector<SizeRuns> runs(sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    runs[i].dbText = makeDbText(sizes[i]);
+  }
+  // Timed runs are untraced: the comparison is the two join paths, not
+  // their span overhead.
   bool diverged = false;
-  for (size_t n : sizes) {
-    const std::string dbText = makeDbText(n);
-    // Timed runs are untraced: the comparison is the two join paths,
-    // not their span overhead.
-    ModeResult noplan = runMode(dbText, fl::PlanMode::Off, reps, nullptr);
-    ModeResult plan = runMode(dbText, fl::PlanMode::On, reps, nullptr);
-    if (noplan.incomplete || plan.incomplete) {
-      std::fprintf(stderr, "size %zu: run incomplete, skipping row\n", n);
-      continue;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      SizeRuns& sr = runs[i];
+      if (sr.failed) continue;
+      RunResult noplan;
+      RunResult plan;
+      if (rep % 2 == 0) {
+        noplan = runOnce(sr.dbText, fl::PlanMode::Off, nullptr);
+        plan = runOnce(sr.dbText, fl::PlanMode::On, nullptr);
+      } else {
+        plan = runOnce(sr.dbText, fl::PlanMode::On, nullptr);
+        noplan = runOnce(sr.dbText, fl::PlanMode::Off, nullptr);
+      }
+      if (noplan.incomplete || plan.incomplete) {
+        std::fprintf(stderr, "size %zu: run incomplete, skipping row\n",
+                     sizes[i]);
+        sr.failed = true;
+        continue;
+      }
+      if (noplan.rendering != plan.rendering) {
+        std::fprintf(stderr,
+                     "size %zu: PLANNER DIVERGENCE — planned results are "
+                     "not byte-identical to program order\n",
+                     sizes[i]);
+        sr.failed = true;
+        diverged = true;
+        continue;
+      }
+      sr.noplanWalls.push_back(noplan.wallSeconds);
+      sr.planWalls.push_back(plan.wallSeconds);
     }
-    if (noplan.rendering != plan.rendering) {
-      std::fprintf(stderr,
-                   "size %zu: PLANNER DIVERGENCE — planned results are "
-                   "not byte-identical to program order\n",
-                   n);
-      diverged = true;
-      continue;
-    }
-    const double speedup =
-        plan.wallSeconds > 0.0 ? noplan.wallSeconds / plan.wallSeconds : 0.0;
-    std::printf("%8zu | %12.4f %12.4f %7.2fx\n", n, noplan.wallSeconds,
-                plan.wallSeconds, speedup);
+  }
+
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const SizeRuns& sr = runs[i];
+    if (sr.failed) continue;
+    const size_t n = sizes[i];
+    const double noplanSeconds = median(sr.noplanWalls);
+    const double planSeconds = median(sr.planWalls);
+    const double speedup = planSeconds > 0.0 ? noplanSeconds / planSeconds
+                                             : 0.0;
+    std::printf("%8zu | %12.4f %12.4f %7.2fx\n", n, noplanSeconds,
+                planSeconds, speedup);
     std::fflush(stdout);
     if (traceOn) {
       // One observed planned run so the report carries eval.plan.*
       // (index builds, probe hit rates, estimate totals) per size.
       obs::Span span(&tracer, "join[size=" + std::to_string(n) + "]");
-      runMode(dbText, fl::PlanMode::On, 1, &tracer);
+      runOnce(sr.dbText, fl::PlanMode::On, &tracer);
       obs::Registry& reg = tracer.metrics();
       const std::string base = "join[" + std::to_string(n) + "].";
-      reg.gauge(base + "wall_seconds").set(plan.wallSeconds);
-      reg.gauge(base + "noplan.wall_seconds").set(noplan.wallSeconds);
+      reg.gauge(base + "wall_seconds").set(planSeconds);
+      reg.gauge(base + "noplan.wall_seconds").set(noplanSeconds);
       reg.gauge(base + "speedup").set(speedup);
     }
   }

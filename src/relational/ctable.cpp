@@ -69,12 +69,134 @@ uint64_t freshStamp() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
+/// Fibonacci hashing: the top bits of h times 2^64 / phi pick the slot,
+/// so data-part hashes whose low bits repeat still spread.
+constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+
 }  // namespace
 
 CTable::Body::Body(const Body& o)
-    : schema(o.schema), rows(o.rows), index(o.index), stamp(o.stamp) {
+    : schema(o.schema),
+      rows(o.rows),
+      parts(o.parts),
+      nextRow(o.nextRow),
+      slots(o.slots),
+      slotShift(o.slotShift),
+      stamp(o.stamp) {
   std::lock_guard<std::mutex> lock(o.joinMu);
   joinIndexes = o.joinIndexes;
+}
+
+uint32_t CTable::Body::findPart(const std::vector<Value>& vals,
+                                size_t h) const {
+  if (slots.empty()) return kNoId;
+  const size_t mask = slots.size() - 1;
+  for (size_t i = (h * kGolden) >> slotShift;; i = (i + 1) & mask) {
+    const uint32_t id = slots[i];
+    if (id == kNoId) return kNoId;
+    const Part& p = parts[id];
+    if (p.hash == h && rows[p.first].vals == vals) return id;
+  }
+}
+
+void CTable::Body::placeSlot(uint32_t id) {
+  const size_t mask = slots.size() - 1;
+  size_t i = (parts[id].hash * kGolden) >> slotShift;
+  while (slots[i] != kNoId) i = (i + 1) & mask;
+  slots[i] = id;
+}
+
+void CTable::Body::rebuildSlots() {
+  size_t capacity = 8;
+  while (parts.size() * 2 > capacity) capacity *= 2;
+  slots.assign(capacity, kNoId);
+  slotShift = 64;
+  for (size_t c = capacity; c > 1; c >>= 1) --slotShift;
+  for (uint32_t id = 0; id < parts.size(); ++id) placeSlot(id);
+}
+
+void CTable::Body::addRow(std::vector<Value> vals, smt::Formula cond,
+                          size_t h, uint32_t id) {
+  const auto r = static_cast<uint32_t>(rows.size());
+  if (id == kNoId) {
+    parts.push_back(Part{h, r, r, 1, cond});
+    if (parts.size() * 2 > slots.size()) {
+      rebuildSlots();
+    } else {
+      placeSlot(static_cast<uint32_t>(parts.size() - 1));
+    }
+  } else {
+    Part& p = parts[id];
+    nextRow[p.last] = r;
+    p.last = r;
+    ++p.count;
+    p.cond = smt::Formula::disj2(p.cond, cond);
+  }
+  nextRow.push_back(kNoId);
+  rows.emplace_back(std::move(vals), std::move(cond));
+}
+
+smt::Formula CTable::Body::fold(uint32_t id) const {
+  const Part& p = parts[id];
+  smt::Formula out = rows[p.first].cond;
+  for (uint32_t r = nextRow[p.first]; r != kNoId; r = nextRow[r]) {
+    out = smt::Formula::disj2(out, rows[r].cond);
+  }
+  return out;
+}
+
+void CTable::Body::setRowCondition(uint32_t r, uint32_t id,
+                                   smt::Formula cond) {
+  Row& row = rows[r];
+  row.cond = std::move(cond);
+  Part& p = parts[id];
+  p.cond = p.count == 1 ? row.cond : fold(id);
+}
+
+void CTable::Body::removeRows(const std::vector<size_t>& oldToNew,
+                              size_t kept) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const size_t to = oldToNew[i];
+    if (to != SIZE_MAX && to != i) rows[to] = std::move(rows[i]);
+  }
+  rows.erase(rows.begin() + static_cast<std::ptrdiff_t>(kept), rows.end());
+  // Walk every old chain in row order, keeping its survivors: the new
+  // chains ascend because the remap is monotone.
+  std::vector<uint32_t> next(kept, kNoId);
+  std::vector<uint32_t> refold;
+  uint32_t out = 0;
+  for (size_t id = 0; id < parts.size(); ++id) {
+    Part& p = parts[id];
+    uint32_t first = kNoId;
+    uint32_t last = kNoId;
+    uint32_t count = 0;
+    for (uint32_t r = p.first; r != kNoId; r = nextRow[r]) {
+      const size_t to = oldToNew[r];
+      if (to == SIZE_MAX) continue;
+      const auto nr = static_cast<uint32_t>(to);
+      if (first == kNoId) {
+        first = nr;
+      } else {
+        next[last] = nr;
+      }
+      last = nr;
+      ++count;
+    }
+    if (count == 0) continue;
+    if (count != p.count) refold.push_back(out);
+    p.first = first;
+    p.last = last;
+    p.count = count;
+    if (out != id) parts[out] = std::move(p);
+    ++out;
+  }
+  const bool dropped = out != parts.size();
+  parts.resize(out);
+  nextRow = std::move(next);
+  for (uint32_t id : refold) parts[id].cond = fold(id);
+  if (dropped) rebuildSlots();
+  std::lock_guard<std::mutex> lock(joinMu);
+  for (auto& [keys, jidx] : joinIndexes) jidx.remap(oldToNew);
 }
 
 const CTable::Body& CTable::emptyBody() {
@@ -161,83 +283,81 @@ void CTable::checkRow(const std::vector<Value>& vals) const {
 bool CTable::insert(std::vector<Value> vals, smt::Formula cond) {
   checkRow(vals);
   if (cond.isFalse()) return false;
-  size_t h = hashValues(vals);
+  const size_t h = hashValues(vals);
   // Look before writing: an insert that changes nothing must leave a
   // shared body shared (and the stamp alone).
-  const Body& b = body();
-  auto it = b.index.find(h);
-  if (it != b.index.end()) {
-    for (size_t idx : it->second) {
-      if (b.rows[idx].vals == vals) {
-        smt::Formula merged = smt::Formula::disj2(b.rows[idx].cond, cond);
-        if (merged == b.rows[idx].cond) return false;
-        mut().rows[idx].cond = std::move(merged);
-        return true;
-      }
-    }
+  const uint32_t id = body().findPart(vals, h);
+  if (id == kNoId) {
+    mut().addRow(std::move(vals), std::move(cond), h, kNoId);
+    return true;
   }
-  Body& m = mut();
-  m.index[h].push_back(m.rows.size());
-  m.rows.emplace_back(std::move(vals), std::move(cond));
+  // Merge into the part's first row.
+  const uint32_t first = body().parts[id].first;
+  const smt::Formula& old = body().rows[first].cond;
+  smt::Formula merged = smt::Formula::disj2(old, cond);
+  if (merged == old) return false;
+  mut().setRowCondition(first, id, std::move(merged));
   return true;
 }
 
 bool CTable::append(std::vector<Value> vals, smt::Formula cond) {
   checkRow(vals);
   if (cond.isFalse()) return false;
-  size_t h = hashValues(vals);
+  const size_t h = hashValues(vals);
   Body& m = mut();
-  m.index[h].push_back(m.rows.size());
-  m.rows.emplace_back(std::move(vals), std::move(cond));
+  const uint32_t id = m.findPart(vals, h);
+  m.addRow(std::move(vals), std::move(cond), h, id);
   return true;
 }
 
 std::vector<size_t> CTable::rowsWithData(const std::vector<Value>& vals) const {
   const Body& b = body();
   std::vector<size_t> out;
-  auto it = b.index.find(hashValues(vals));
-  if (it == b.index.end()) return out;
-  for (size_t idx : it->second) {
-    if (b.rows[idx].vals == vals) out.push_back(idx);
+  const uint32_t id = b.findPart(vals, hashValues(vals));
+  if (id == kNoId) return out;
+  out.reserve(b.parts[id].count);
+  for (uint32_t r = b.parts[id].first; r != kNoId; r = b.nextRow[r]) {
+    out.push_back(r);
   }
   return out;
 }
 
 void CTable::consolidate() {
-  // Append-mode duplication is the exception, not the rule: scan the
-  // hash index for repeated data parts first and leave the table
-  // untouched — row order, body sharing and stamp included — when
-  // nothing would merge. A row whose condition was forced to `false`
-  // (setCondition) also triggers the rebuild, which drops it,
-  // preserving the historical contract.
+  // Append-mode duplication is the exception, not the rule: when every
+  // data part has one row, nothing merges and the table is left
+  // untouched — row order, body sharing and stamp included. A row whose
+  // condition was forced to `false` (setCondition) also triggers the
+  // rebuild, which drops it, preserving the historical contract.
   const Body& b = body();
-  bool rebuild = false;
-  for (const auto& row : b.rows) {
-    if (row.cond.isFalse()) {
-      rebuild = true;
-      break;
-    }
+  if (b.parts.size() == b.rows.size() &&
+      std::none_of(b.rows.begin(), b.rows.end(),
+                   [](const Row& row) { return row.cond.isFalse(); })) {
+    return;
   }
-  for (auto it = b.index.begin(); !rebuild && it != b.index.end(); ++it) {
-    const std::vector<size_t>& bucket = it->second;
-    for (size_t i = 1; i < bucket.size() && !rebuild; ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (b.rows[bucket[i]].vals == b.rows[bucket[j]].vals) {
-          rebuild = true;
-          break;
-        }
-      }
-    }
-  }
-  if (!rebuild) return;
 
+  // Each part lands at its first non-false row with its merged
+  // condition — what inserting the rows in order into a fresh table
+  // gives — and a part with no such row is dropped.
   Body& m = mut();
-  CTable merged(m.schema);
-  merged.body_->rows.reserve(m.rows.size());
-  merged.body_->index.reserve(m.index.size());
-  for (auto& row : m.rows) {
-    merged.insert(std::move(row.vals), std::move(row.cond));
+  std::vector<uint32_t> leads(m.rows.size(), kNoId);
+  for (uint32_t id = 0; id < m.parts.size(); ++id) {
+    uint32_t r = m.parts[id].first;
+    while (r != kNoId && m.rows[r].cond.isFalse()) r = m.nextRow[r];
+    if (r != kNoId) leads[r] = id;
   }
+  CTable merged(m.schema);
+  Body& nb = *merged.body_;
+  nb.rows.reserve(m.parts.size());
+  nb.parts.reserve(m.parts.size());
+  for (size_t r = 0; r < leads.size(); ++r) {
+    if (leads[r] == kNoId) continue;
+    Part& p = m.parts[leads[r]];
+    const auto nr = static_cast<uint32_t>(nb.rows.size());
+    nb.rows.emplace_back(std::move(m.rows[r].vals), p.cond);
+    nb.parts.push_back(Part{p.hash, nr, nr, 1, std::move(p.cond)});
+  }
+  nb.nextRow.assign(nb.rows.size(), kNoId);
+  nb.rebuildSlots();
   // The merge renumbers rows, so the new body starts with no secondary
   // indexes: they are dropped here and rebuilt lazily on next use. The
   // no-rebuild path above keeps them (rows untouched).
@@ -246,13 +366,8 @@ void CTable::consolidate() {
 
 smt::Formula CTable::conditionOf(const std::vector<Value>& vals) const {
   const Body& b = body();
-  auto it = b.index.find(hashValues(vals));
-  if (it == b.index.end()) return smt::Formula::bottom();
-  std::vector<smt::Formula> conds;
-  for (size_t idx : it->second) {
-    if (b.rows[idx].vals == vals) conds.push_back(b.rows[idx].cond);
-  }
-  return smt::Formula::disj(std::move(conds));
+  const uint32_t id = b.findPart(vals, hashValues(vals));
+  return id == kNoId ? smt::Formula::bottom() : b.parts[id].cond;
 }
 
 size_t CTable::pruneIf(const std::function<bool(const Row&)>& pred) {
@@ -265,35 +380,37 @@ size_t CTable::pruneIf(const std::function<bool(const Row&)>& pred) {
   for (size_t i = 0; i < b.rows.size(); ++i) {
     if (!pred(b.rows[i])) oldToNew[i] = kept++;
   }
-  size_t removed = b.rows.size() - kept;
+  const size_t removed = b.rows.size() - kept;
   if (removed == 0) return 0;
-  Body& m = mut();
-  for (size_t i = 0; i < m.rows.size(); ++i) {
-    size_t to = oldToNew[i];
-    if (to != SIZE_MAX && to != i) m.rows[to] = std::move(m.rows[i]);
-  }
-  m.rows.erase(m.rows.begin() + static_cast<std::ptrdiff_t>(kept),
-               m.rows.end());
-  m.index.clear();
-  for (size_t i = 0; i < m.rows.size(); ++i) {
-    m.index[hashValues(m.rows[i].vals)].push_back(i);
-  }
-  std::lock_guard<std::mutex> lock(m.joinMu);
-  for (auto& [keys, jidx] : m.joinIndexes) jidx.remap(oldToNew);
+  mut().removeRows(oldToNew, kept);
   return removed;
 }
 
 size_t CTable::eraseWithData(const std::vector<Value>& vals) {
   checkRow(vals);
-  // The index answers "is it even here" in O(1); only a hit pays the
-  // pruneIf scan-and-rebuild.
-  if (rowsWithData(vals).empty()) return 0;
-  return pruneIf([&](const Row& row) { return row.vals == vals; });
+  // The part table names the rows to drop; only a hit writes.
+  const Body& b = body();
+  const uint32_t id = b.findPart(vals, hashValues(vals));
+  if (id == kNoId) return 0;
+  std::vector<size_t> oldToNew(b.rows.size(), 0);
+  for (uint32_t r = b.parts[id].first; r != kNoId; r = b.nextRow[r]) {
+    oldToNew[r] = SIZE_MAX;
+  }
+  size_t kept = 0;
+  for (size_t& to : oldToNew) {
+    if (to != SIZE_MAX) to = kept++;
+  }
+  const size_t removed = b.rows.size() - kept;
+  mut().removeRows(oldToNew, kept);
+  return removed;
 }
 
 void CTable::setCondition(size_t rowIndex, smt::Formula cond) {
-  body().rows.at(rowIndex);  // range check before detaching
-  mut().rows[rowIndex].cond = std::move(cond);
+  const Body& b = body();
+  const Row& row = b.rows.at(rowIndex);  // range check before detaching
+  const uint32_t id = b.findPart(row.vals, hashValues(row.vals));
+  mut().setRowCondition(static_cast<uint32_t>(rowIndex), id,
+                        std::move(cond));
 }
 
 std::vector<CVarId> CTable::collectVars() const {

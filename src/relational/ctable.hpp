@@ -7,6 +7,7 @@
 // tuples whose condition holds.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -156,7 +157,7 @@ struct JoinIndexStats {
 /// whose condition folds to `false` are dropped.
 ///
 /// Copy-on-write (DESIGN.md "Copy-on-write tables and the content
-/// stamp"): the schema, rows, data-part index and join-index cache live
+/// stamp"): the schema, rows, data-part table and join-index cache live
 /// in one shared body. Copying a table copies a pointer; the first
 /// mutation through a table whose body is shared copies the body first,
 /// so a write through one copy never shows through another. Distinct
@@ -198,7 +199,7 @@ class CTable {
   /// Returns true if a row was appended.
   bool append(std::vector<Value> vals, smt::Formula cond);
 
-  /// Indices of all rows sharing this exact data part.
+  /// Indices of all rows sharing this exact data part, ascending.
   std::vector<size_t> rowsWithData(const std::vector<Value>& vals) const;
 
   /// Merges duplicate data parts by OR-ing their conditions (undoes
@@ -209,6 +210,8 @@ class CTable {
 
   /// The condition of the data part: OR over all rows carrying it, or
   /// `false` when absent. (Raw identity on c-variables, as in rows().)
+  /// A lookup: the data-part table keeps every part's merged condition,
+  /// the same node Formula::disj builds over the part's rows.
   smt::Formula conditionOf(const std::vector<Value>& vals) const;
 
   /// Removes rows whose condition `pred` maps to false (used by the
@@ -270,6 +273,22 @@ class CTable {
   std::string toString(const CVarRegistry* reg = nullptr) const;
 
  private:
+  /// Row and part ids in the data-part table; kNoId means none. 32 bits
+  /// suffice: a row takes over 40 bytes, so 2^32 of them would need more
+  /// than 160 GB.
+  static constexpr uint32_t kNoId = UINT32_MAX;
+
+  /// One distinct data part.
+  struct Part {
+    size_t hash = 0;     // hashValues of the data part
+    uint32_t first = 0;  // first and last row carrying it
+    uint32_t last = 0;
+    uint32_t count = 0;  // rows carrying it
+    // The left fold of Formula::disj2 over those rows in row order: the
+    // node Formula::disj of the same rows builds (smt/formula.hpp).
+    smt::Formula cond;
+  };
+
   /// Everything a copy shares. Copying a Body (the detach) copies the
   /// index cache under the source's lock: other tables sharing the
   /// source may be extending it at that moment.
@@ -278,11 +297,40 @@ class CTable {
     Body(const Body& o);
     Body& operator=(const Body&) = delete;
 
+    /// Part id of the data part `vals` (whose hashValues is `h`), or
+    /// kNoId when no row carries it.
+    uint32_t findPart(const std::vector<Value>& vals, size_t h) const;
+    /// Appends a row to part `id` (kNoId: a new part), extending the
+    /// part's condition by one disj2.
+    void addRow(std::vector<Value> vals, smt::Formula cond, size_t h,
+                uint32_t id);
+    /// The disj2 fold over part `id`'s rows, in row order.
+    smt::Formula fold(uint32_t id) const;
+    /// Sets row `r`'s condition and re-folds its part `id`.
+    void setRowCondition(uint32_t r, uint32_t id, smt::Formula cond);
+    /// Drops the rows `oldToNew` maps to SIZE_MAX (a monotone remap onto
+    /// `kept` survivors), renumbers the part table and remaps the join
+    /// indexes; only parts that lost some but not all rows are
+    /// re-folded.
+    void removeRows(const std::vector<size_t>& oldToNew, size_t kept);
+    /// Puts part `id` into the first free slot from its hash's home.
+    void placeSlot(uint32_t id);
+    /// Re-places every part into the smallest power-of-two slot array
+    /// (at least 8) that is at most half full.
+    void rebuildSlots();
+
     Schema schema;
     std::vector<Row> rows;
-    // data-part hash -> row indices (open chain), for O(1) merge on
-    // insert.
-    std::unordered_map<size_t, std::vector<size_t>> index;
+    // The data-part table (DESIGN.md §12 "The data-part table"): one
+    // Part per distinct data part, a next-row-of-the-same-part link per
+    // row (kNoId ends a chain; chains ascend), and an open-addressing
+    // array of part ids (linear probing, kNoId = empty, at most half
+    // full). Maintained eagerly by every mutator, never from a const
+    // path, so tables sharing the body read it without a lock.
+    std::vector<Part> parts;
+    std::vector<uint32_t> nextRow;
+    std::vector<uint32_t> slots;
+    unsigned slotShift = 64;  // slot of hash h: (h * golden) >> slotShift
     uint64_t stamp = 0;
     // Guards joinIndexes: tables sharing this body build and extend it
     // from their own threads.
