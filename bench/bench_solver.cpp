@@ -90,7 +90,7 @@ BENCHMARK(BM_Z3SolverReachabilityConditions);
 void BM_NativeSolverCachedReachabilityConditions(benchmark::State& state) {
   // Steady state of the verdict cache on the same corpus: after one
   // sweep every check is a hit, so the loop measures pure replay cost
-  // (lookup + consumeDelegated). The physical/logical counters quantify
+  // (lookup + accountCacheHit). The physical/logical counters quantify
   // how much decision-procedure work the cache removed.
   Fixture& f = fixture();
   NativeSolver solver(f.reg);

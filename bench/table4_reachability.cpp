@@ -15,17 +15,11 @@
 // than a CI box and is reported as extrapolation in EXPERIMENTS.md.
 // FAURE_TABLE4_SIZES=10,20 overrides the size list entirely (CI smoke).
 //
-// Thread sweep: each size also runs under the parallel engine
-// (EvalOptions::threads; DESIGN.md §7) for every count in
-// FAURE_TABLE4_THREADS (default "1,4"). Thread count 1 is the paper
-// row and the speedup baseline; other counts add
-// `table4[N].threads[T].*` gauges and a `table4[N].speedup[T]` gauge
-// (serial wall / threaded wall) to the run report. Each (size,threads)
-// run regenerates the RIB so no run sees a predecessor's derived
+// Each run regenerates the RIB so no run sees a predecessor's derived
 // tables.
 //
-// Repeats: every measured configuration — each (size,threads) run and
-// each size's cache-off control below — runs kRepeats times, going
+// Repeats: every measured configuration — each size's run and its
+// cache-off control below — runs kRepeats times, going
 // round-robin over all configurations, and the wall recorded (and
 // printed) is the median. The printed row and its gauges are those of
 // the repeat whose wall is the median. One run at the gate sizes takes a
@@ -35,12 +29,12 @@
 // divides all walls by one of them. Counters in the report add up all
 // repeats.
 //
-// Solver verdict cache: every (size,threads) run attaches a fresh
-// VerdictCache sized by FAURE_SOLVER_CACHE (0 disables). The serial row
+// Solver verdict cache: every size's run attaches a fresh
+// VerdictCache sized by FAURE_SOLVER_CACHE (0 disables). The cached row
 // records `table4[N].solver.cache.{hits,misses,evictions}` plus
 // `table4[N].solver_checks_{logical,physical}` (physical = logical -
 // hits: a hit replays a verdict without running the decision
-// procedure), and each size gets one extra cache-off serial pass
+// procedure), and each size gets one extra cache-off pass
 // recorded as `table4[N].nocache.wall_seconds` so the gated baseline
 // (tools/bench_check.py) tracks both configurations.
 //
@@ -131,24 +125,6 @@ void recordRow(obs::Registry& reg, size_t n, const net::Table4Result& r,
   reg.gauge(base + "wall_seconds").set(wallSeconds);
 }
 
-/// Records a threaded repeat of one size under
-/// `table4[N].threads[T].*`, plus the serial-relative speedup.
-void recordThreadedRow(obs::Registry& reg, size_t n, unsigned threads,
-                       const net::Table4Result& r, double wallSeconds,
-                       double serialWallSeconds) {
-  const std::string base = "table4[" + std::to_string(n) + "].threads[" +
-                           std::to_string(threads) + "].";
-  reg.gauge(base + "wall_seconds").set(wallSeconds);
-  reg.gauge(base + "solver_seconds")
-      .set(r.q45.solverSeconds + r.q6.solverSeconds + r.q7.solverSeconds +
-           r.q8.solverSeconds);
-  if (serialWallSeconds > 0.0 && wallSeconds > 0.0) {
-    reg.gauge("table4[" + std::to_string(n) + "].speedup[" +
-              std::to_string(threads) + "]")
-        .set(serialWallSeconds / wallSeconds);
-  }
-}
-
 std::vector<size_t> parseList(const char* text) {
   std::vector<size_t> out;
   for (const char* p = text; *p != '\0';) {
@@ -176,7 +152,6 @@ struct Run {
 /// One measured configuration and its repeats.
 struct Config {
   size_t n = 0;
-  size_t threads = 1;
   bool nocache = false;
   std::vector<Run> runs;
 
@@ -207,15 +182,10 @@ Run runOnce(const Config& c, size_t cacheEntries, const ResourceLimits& limits,
   ResourceGuard guard(limits);
   smt::attachGuardAndTracer(*stack.solver, guard, tracer);
   fl::EvalOptions opts;
-  opts.threads = static_cast<unsigned>(c.threads);
   opts.tracer = tracer;
   if (guard.active()) opts.guard = &guard;
   std::string tag = "table4[size=" + std::to_string(c.n) + "]";
-  if (c.nocache) {
-    tag += "[nocache]";
-  } else if (c.threads != 1) {
-    tag += "[threads=" + std::to_string(c.threads) + "]";
-  }
+  if (c.nocache) tag += "[nocache]";
   Run run;
   util::Stopwatch watch;
   {
@@ -245,13 +215,6 @@ int main() {
     if (sizes.empty()) sizes = {1000, 10000};
   }
 
-  std::vector<size_t> threadCounts = {1, 4};
-  if (const char* list = std::getenv("FAURE_TABLE4_THREADS");
-      list != nullptr && list[0] != '\0') {
-    threadCounts = parseList(list);
-    if (threadCounts.empty()) threadCounts = {1};
-  }
-
   obs::Tracer tracer;
   bool traceOn = true;
   if (const char* t = std::getenv("FAURE_BENCH_TRACE");
@@ -266,15 +229,13 @@ int main() {
   ResourceLimits limits = ResourceLimits::fromEnv();
   const size_t cacheEntries = smt::VerdictCache::capacityFromEnv();
 
-  // Per size: one configuration per thread count, then the cache-off
-  // serial control (same size, no VerdictCache, so the report carries
-  // both configurations for the gated baseline).
+  // Per size: the cached run, then the cache-off control (same size,
+  // no VerdictCache, so the report carries both configurations for the
+  // gated baseline).
   std::vector<Config> configs;
   for (size_t n : sizes) {
-    for (size_t threads : threadCounts) {
-      configs.push_back(Config{n, threads, false, {}});
-    }
-    if (cacheEntries > 0) configs.push_back(Config{n, 1, true, {}});
+    configs.push_back(Config{n, false, {}});
+    if (cacheEntries > 0) configs.push_back(Config{n, true, {}});
   }
   obs::Tracer* tp = traceOn ? &tracer : nullptr;
   for (size_t r = 0; r < kRepeats; ++r) {
@@ -283,13 +244,8 @@ int main() {
     }
   }
 
-  double serialWall = 0.0;  // of the current size
-  size_t serialSize = 0;
+  double cachedWall = 0.0;  // of the current size
   for (const Config& c : configs) {
-    if (c.n != serialSize) {
-      serialSize = c.n;
-      serialWall = 0.0;
-    }
     const Run& run = c.median();
     const net::Table4Result& r = run.result;
     const double wall = run.wall;
@@ -305,16 +261,16 @@ int main() {
             .set(static_cast<double>(run.solver.checks));
       }
       std::printf("%s   (cache off", net::formatTable4Row(n, r).c_str());
-      if (serialWall > 0.0 && wall > 0.0) {
-        std::printf(", cached serial is %.2fx", wall / serialWall);
+      if (cachedWall > 0.0 && wall > 0.0) {
+        std::printf(", cached is %.2fx", wall / cachedWall);
       }
       std::printf(")\n");
-    } else if (c.threads == 1) {
-      serialWall = wall;
+    } else {
+      cachedWall = wall;
       if (traceOn) recordRow(tracer.metrics(), n, r, wall);
       std::printf("%s\n", net::formatTable4Row(n, r).c_str());
       if (cacheEntries > 0) {
-        // Serial accounting: every cache hit is one logical check that
+        // Cache accounting: every cache hit is one logical check that
         // skipped the decision procedure, so physical = logical - hits.
         const smt::VerdictCache::Stats& cs = run.cache;
         const uint64_t logical = run.solver.checks;
@@ -342,18 +298,6 @@ int main() {
               .set(static_cast<double>(physical));
         }
       }
-    } else {
-      if (traceOn) {
-        recordThreadedRow(tracer.metrics(), n,
-                          static_cast<unsigned>(c.threads), r, wall,
-                          serialWall);
-      }
-      std::printf("%s   (threads=%zu", net::formatTable4Row(n, r).c_str(),
-                  c.threads);
-      if (serialWall > 0.0 && wall > 0.0) {
-        std::printf(", %.2fx vs serial", serialWall / wall);
-      }
-      std::printf(")\n");
     }
     if (run.governed && !c.nocache) {
       std::printf(
@@ -377,12 +321,6 @@ int main() {
       sizeList += std::to_string(n);
     }
     meta.add("sizes", sizeList);
-    std::string threadList;
-    for (size_t t : threadCounts) {
-      if (!threadList.empty()) threadList += ",";
-      threadList += std::to_string(t);
-    }
-    meta.add("threads", threadList);
     meta.add("solver_cache", std::to_string(cacheEntries));
     std::ofstream out(jsonPath);
     if (out) {

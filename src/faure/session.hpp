@@ -40,10 +40,10 @@ class Session {
   /// Evaluation defaults applied by run()/check().
   fl::EvalOptions& options() { return opts_; }
 
-  /// Parallel evaluation for subsequent run() calls: total evaluation
-  /// threads (0 = hardware concurrency, 1 = serial). Results are
-  /// bit-identical for every setting (DESIGN.md §7); only wall-clock
-  /// and the eval.par.* metrics change. Shorthand for options().threads.
+  /// Scenario fan-out width for later scenarios() services (0 =
+  /// hardware concurrency, 1 = one scenario at a time; DESIGN.md §7).
+  /// run() and check() always evaluate serially. Shorthand for
+  /// options().threads.
   void setThreads(unsigned n) { opts_.threads = n; }
 
   /// Cost-based join planning for subsequent run() calls (DESIGN.md

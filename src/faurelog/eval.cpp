@@ -1,7 +1,6 @@
 #include "faurelog/eval.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -13,7 +12,6 @@
 #include "datalog/analysis.hpp"
 #include "relational/algebra.hpp"
 #include "smt/simplify.hpp"
-#include "smt/solver_pool.hpp"
 #include "smt/verdict_cache.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -52,28 +50,14 @@ struct CFrame {
 
 /// Internal control-flow signal: a guard budget tripped mid-fixpoint.
 /// Caught in run(), where the partial IDB becomes the degraded result.
-/// In a parallel round it may be thrown on a worker thread; the
-/// ThreadPool cancels the batch and rethrows it on the engine thread,
-/// so the degradation path is shared with serial evaluation.
 struct BudgetTrip {};
 
-/// A derived-tuple candidate produced by the (possibly parallel)
-/// generation phase of a round: the grounded head values, the
-/// accumulated condition, and — when a SolverPool lane pre-checked the
-/// condition — the physical verdict to be replayed through the main
-/// solver's accounting (smt::SolverBase::consumeDelegated).
+/// A derived-tuple candidate of one rule application: the grounded head
+/// values and the accumulated condition.
 struct Candidate {
   std::vector<Value> vals;
   smt::Formula cond;
-  bool hasPrecheck = false;
-  smt::Sat verdict = smt::Sat::Unknown;
-  double seconds = 0.0;
-  uint64_t enumerations = 0;
 };
-
-/// Partitioning floor: a scan range shorter than this is not worth
-/// splitting (chunk bookkeeping would dominate the join work).
-constexpr size_t kPartitionMinRows = 1024;
 
 class FaureEvaluator {
  public:
@@ -87,21 +71,11 @@ class FaureEvaluator {
         plan_(plan),
         guard_(opts.guard),
         tracer_(opts.tracer),
-        threads_(resolveThreads(opts)),
         planMode_(resolvePlanMode(opts.plan)) {
     if (solver_ == nullptr &&
         (opts_.pruneWithSolver || opts_.mergeSubsumption)) {
       throw EvalError(
           "evalFaure: solver required for pruning / merge subsumption");
-    }
-    if (threads_ > 1) {
-      // threads_ counts total lanes: the engine thread participates in
-      // every pool barrier, so spawn one worker fewer.
-      threadPool_ = std::make_unique<util::ThreadPool>(threads_ - 1);
-      if (opts_.pruneWithSolver) {
-        solverPool_ = std::make_unique<smt::SolverPool>(
-            *solver_, threadPool_->workers() + 1);
-      }
     }
     cache_ = solver_ != nullptr ? solver_->verdictCache() : nullptr;
     if (cache_ != nullptr) cacheBefore_ = cache_->stats();
@@ -171,9 +145,6 @@ class FaureEvaluator {
         stats_.solverSeconds = solver_->stats().seconds - solverBefore;
         stats_.solverChecks = solver_->stats().checks - checksBefore;
       }
-      // Under parallel evaluation solverSeconds is cumulative across
-      // lanes (delegated checks carry their worker-measured time), so
-      // the wall-clock residual is clamped rather than trusted negative.
       stats_.sqlSeconds = std::max(0.0, total.elapsed() - stats_.solverSeconds);
       flushMetrics(degraded);
     };
@@ -274,28 +245,23 @@ class FaureEvaluator {
         fullEnd[pred] = idb_.at(pred).size();
       }
       bool changed = false;
-      if (threadPool_ != nullptr) {
-        changed = parallelRound(ruleIdx, first, deltaStart, fullEnd,
-                                thisStratum);
-      } else {
-        for (size_t ri : ruleIdx) {
-          const Rule& rule = p_.rules[ri];
-          std::vector<size_t> recursivePositions;
-          for (size_t i = 0; i < rule.body.size(); ++i) {
-            const dl::Literal& lit = rule.body[i];
-            if (!lit.negated && thisStratum.count(lit.atom.pred) != 0) {
-              recursivePositions.push_back(i);
-            }
+      for (size_t ri : ruleIdx) {
+        const Rule& rule = p_.rules[ri];
+        std::vector<size_t> recursivePositions;
+        for (size_t i = 0; i < rule.body.size(); ++i) {
+          const dl::Literal& lit = rule.body[i];
+          if (!lit.negated && thisStratum.count(lit.atom.pred) != 0) {
+            recursivePositions.push_back(i);
           }
-          if (!first && recursivePositions.empty()) continue;
-          if (first || !opts_.semiNaive || recursivePositions.empty()) {
-            changed |= evalRule(ri, rule, SIZE_MAX, deltaStart, fullEnd,
-                                thisStratum);
-          } else {
-            for (size_t pos : recursivePositions) {
-              changed |=
-                  evalRule(ri, rule, pos, deltaStart, fullEnd, thisStratum);
-            }
+        }
+        if (!first && recursivePositions.empty()) continue;
+        if (first || !opts_.semiNaive || recursivePositions.empty()) {
+          changed |=
+              evalRule(ri, rule, SIZE_MAX, deltaStart, fullEnd, thisStratum);
+        } else {
+          for (size_t pos : recursivePositions) {
+            changed |=
+                evalRule(ri, rule, pos, deltaStart, fullEnd, thisStratum);
           }
         }
       }
@@ -325,11 +291,10 @@ class FaureEvaluator {
 
   // ---- cost-based join planning (plan.hpp, DESIGN.md §11) ----
   //
-  // planFor() runs on the engine thread only: it resolves the physical
-  // plan for one (rule, delta position) firing from the round's live
-  // cardinalities and ensures every persistent index the plan probes is
-  // built/extended *before* worker phases start, so workers touch only
-  // immutable JoinIndex state. Three execution paths follow:
+  // planFor() resolves the physical plan for one (rule, delta position)
+  // firing from the round's live cardinalities and ensures every
+  // persistent index the plan probes is built/extended before the join
+  // reads it. Three execution paths follow:
   //   off          — planMode_ == Off or no plan: the pristine
   //                  program-order join path, byte-for-byte the
   //                  pre-planner evaluator;
@@ -345,7 +310,7 @@ class FaureEvaluator {
   //                  The resulting frame stream — values, conditions,
   //                  order — is exactly the serial one.
 
-  /// Per-firing physical plan, resolved on the engine thread.
+  /// Per-firing physical plan.
   struct PlanContext {
     const RuleShape* shape = nullptr;
     RulePlan plan;
@@ -372,7 +337,7 @@ class FaureEvaluator {
   }
 
   /// Builds (or extends) the persistent index of `table` keyed on
-  /// `keyArgs`, with build-vs-extension accounting. Engine thread only.
+  /// `keyArgs`, with build-vs-extension accounting.
   const rel::JoinIndex* ensureIndex(const rel::CTable& table,
                                     const std::vector<size_t>& keyArgs) {
     rel::CTable::IndexUpkeep upkeep;
@@ -389,7 +354,7 @@ class FaureEvaluator {
   /// every index it will probe. Returns null when planning is off or
   /// the rule has nothing to plan (the caller falls back to the
   /// pristine path, which also owns error reporting for unknown
-  /// relations). Engine thread only.
+  /// relations).
   std::unique_ptr<PlanContext> planFor(
       size_t ri, const Rule& rule, size_t deltaPos,
       const std::unordered_map<std::string, size_t>& deltaStart,
@@ -446,19 +411,13 @@ class FaureEvaluator {
   /// Candidate generation — the pure part of one rule application: join
   /// positives over the round snapshot, filter comparisons and
   /// negations, ground heads. Reads only snapshot-bounded table state
-  /// (rangeFor) and the shared guard, so the parallel round runs it on
-  /// worker threads unchanged; `tracer` must be null off the engine
-  /// thread (the span tree is single-threaded). With `clampLit` set,
-  /// the scan range of that body literal is overridden by `clamp` — the
-  /// delta-partitioning hook; candidate order is the serial row-major
-  /// order restricted to the clamp, so concatenating chunk results in
-  /// range order reproduces the serial candidate stream exactly.
+  /// (rangeFor), so candidates derived earlier in the round stay
+  /// invisible until the next one.
   std::vector<Candidate> collectCandidates(
       const Rule& rule, size_t deltaPos,
       const std::unordered_map<std::string, size_t>& deltaStart,
       const std::unordered_map<std::string, size_t>& fullEnd,
-      const std::set<std::string>& thisStratum, size_t clampLit, Range clamp,
-      obs::Tracer* tracer, const PlanContext* pctx) {
+      const std::set<std::string>& thisStratum, const PlanContext* pctx) {
     std::vector<std::string> vars = dl::ruleVariables(rule);
     std::unordered_map<std::string, size_t> slotOf;
     for (size_t i = 0; i < vars.size(); ++i) slotOf[vars[i]] = i;
@@ -469,7 +428,7 @@ class FaureEvaluator {
 
     if (pctx != nullptr && pctx->plan.reordered) {
       frames = plannedEnumerate(rule, *pctx, deltaPos, deltaStart, fullEnd,
-                                thisStratum, clampLit, clamp);
+                                thisStratum);
     } else {
       size_t litPos = 0;
       for (size_t i = 0; i < rule.body.size() && !frames.empty(); ++i) {
@@ -484,12 +443,10 @@ class FaureEvaluator {
                 ? pctx->serialIndex[litPos]
                 : nullptr;
         ++litPos;
-        Range range = i == clampLit
-                          ? clamp
-                          : rangeFor(lit.atom.pred, deltaPos, i, deltaStart,
-                                     fullEnd, thisStratum, *table);
-        if (tracer != nullptr && tracer->options().fineSpans) {
-          obs::Span join(tracer, "join");
+        Range range = rangeFor(lit.atom.pred, deltaPos, i, deltaStart, fullEnd,
+                               thisStratum, *table);
+        if (tracer_ != nullptr && tracer_->options().fineSpans) {
+          obs::Span join(tracer_, "join");
           join.note("pred", lit.atom.pred);
           joinLiteral(lit.atom, *table, range, slotOf, frames, bound, pidx);
         } else {
@@ -498,8 +455,7 @@ class FaureEvaluator {
       }
     }
     if (pctx != nullptr) {
-      planStats_.actualRows.fetch_add(frames.size(),
-                                      std::memory_order_relaxed);
+      planStats_.actualRows += frames.size();
     }
     // Explicit comparisons become condition atoms.
     for (const auto& cmp : rule.cmps) {
@@ -545,223 +501,13 @@ class FaureEvaluator {
     std::unique_ptr<PlanContext> pctx =
         planFor(ri, rule, deltaPos, deltaStart, fullEnd, thisStratum);
     std::vector<Candidate> cands = collectCandidates(
-        rule, deltaPos, deltaStart, fullEnd, thisStratum, SIZE_MAX, Range{},
-        tracer_, pctx.get());
+        rule, deltaPos, deltaStart, fullEnd, thisStratum, pctx.get());
     bool changed = false;
     rel::CTable& out = idbTable(rule.head.pred, rule.head.args.size());
     for (auto& c : cands) {
-      changed |= derive(out, std::move(c.vals), std::move(c.cond), nullptr);
+      changed |= derive(out, std::move(c.vals), std::move(c.cond));
     }
     curRule_ = nullptr;
-    return changed;
-  }
-
-  // ---- parallel round (DESIGN.md §7 "Parallel execution") ----
-  //
-  // One fixpoint round splits into three phases:
-  //   A1  candidate generation — one task per (rule, delta position),
-  //       large first-literal scans further split into row chunks — on
-  //       the thread pool; tasks read only the round snapshot, so they
-  //       are mutually independent;
-  //   A2  solver prechecks — the candidates are partitioned across
-  //       SolverPool lanes and their conditions decided concurrently
-  //       (skipped entirely for non-cloneable backends such as Z3);
-  //   B   replay — the engine thread consumes candidates in serial task
-  //       order through derive(), which performs all order-sensitive
-  //       work (subsumption against the growing table, appends, stats,
-  //       guard tuple/memory charges) and feeds precomputed verdicts
-  //       through the main solver's accounting. Replay order equals
-  //       serial derivation order, so tables, conditions and logical
-  //       counters are bit-identical to threads=1.
-
-  /// One (rule, delta position) application of the parallel round;
-  /// `chunks` partitions the scan of body literal `clampLit` (one whole-
-  /// range chunk when clampLit is SIZE_MAX).
-  struct RoundTask {
-    size_t ri = 0;
-    size_t deltaPos = SIZE_MAX;
-    size_t clampLit = SIZE_MAX;
-    std::vector<Range> chunks;
-    std::vector<std::vector<Candidate>> results;  // parallel to chunks
-    // Physical plan, resolved (and its indexes ensured) on the engine
-    // thread at task-list construction; A1 workers only read it.
-    std::unique_ptr<PlanContext> plan;
-  };
-
-  /// Decides delta-partitioning for one task: split the scan of the
-  /// first positive body literal when it is long enough and the literal
-  /// carries no constant argument. (A constant argument keys the join
-  /// index, which enumerates indexed rows before wild rows — chunking
-  /// such a scan would reorder the candidate stream relative to serial.
-  /// Constant-free first literals join with the plain row-order loop,
-  /// where chunk concatenation is exactly the serial order.)
-  void planPartition(RoundTask& t, const Rule& rule,
-                     const std::unordered_map<std::string, size_t>& deltaStart,
-                     const std::unordered_map<std::string, size_t>& fullEnd,
-                     const std::set<std::string>& thisStratum) {
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      const dl::Literal& lit = rule.body[i];
-      if (lit.negated) continue;
-      for (const Term& term : lit.atom.args) {
-        if (term.kind == Term::Kind::Const) return;
-      }
-      const rel::CTable* table = findRelation(lit.atom.pred);
-      if (table == nullptr) return;  // surfaces as EvalError in phase A1
-      Range range = rangeFor(lit.atom.pred, t.deltaPos, i, deltaStart,
-                             fullEnd, thisStratum, *table);
-      size_t n = range.hi - range.lo;
-      if (n < kPartitionMinRows) return;
-      // 2x headroom for work stealing. With planning on, chunks probe
-      // the relation's *persistent* JoinIndex (one build per key-set,
-      // shared by every chunk); only the plan=off baseline still pays a
-      // local index rebuild per chunk, so the chunk count stays modest.
-      size_t want = threads_ * 2;
-      size_t rows = std::max<size_t>(kPartitionMinRows / 4, (n + want - 1) / want);
-      t.clampLit = i;
-      t.chunks.clear();
-      for (size_t lo = range.lo; lo < range.hi; lo += rows) {
-        t.chunks.push_back(Range{lo, std::min(range.hi, lo + rows)});
-      }
-      return;  // only the first positive literal can be chunked
-    }
-  }
-
-  bool parallelRound(const std::vector<size_t>& ruleIdx, bool first,
-                     const std::unordered_map<std::string, size_t>& deltaStart,
-                     const std::unordered_map<std::string, size_t>& fullEnd,
-                     const std::set<std::string>& thisStratum) {
-    // Task list in serial evaluation order — replay consumes it in this
-    // order, which is the determinism anchor.
-    std::vector<RoundTask> tasks;
-    for (size_t ri : ruleIdx) {
-      const Rule& rule = p_.rules[ri];
-      std::vector<size_t> recursivePositions;
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const dl::Literal& lit = rule.body[i];
-        if (!lit.negated && thisStratum.count(lit.atom.pred) != 0) {
-          recursivePositions.push_back(i);
-        }
-      }
-      if (!first && recursivePositions.empty()) continue;
-      std::vector<size_t> deltas;
-      if (first || !opts_.semiNaive || recursivePositions.empty()) {
-        deltas.push_back(SIZE_MAX);
-      } else {
-        deltas = recursivePositions;
-      }
-      for (size_t pos : deltas) {
-        RoundTask t;
-        t.ri = ri;
-        t.deltaPos = pos;
-        planPartition(t, rule, deltaStart, fullEnd, thisStratum);
-        if (t.chunks.empty()) t.chunks.push_back(Range{});  // unpartitioned
-        t.results.resize(t.chunks.size());
-        t.plan = planFor(ri, rule, pos, deltaStart, fullEnd, thisStratum);
-        tasks.push_back(std::move(t));
-      }
-    }
-    if (tasks.empty()) return false;
-
-    // Phase A1: generate candidates in parallel.
-    {
-      std::vector<std::function<void(size_t)>> jobs;
-      for (auto& t : tasks) {
-        const Rule& rule = p_.rules[t.ri];
-        for (size_t ci = 0; ci < t.chunks.size(); ++ci) {
-          jobs.push_back([this, &t, &rule, ci, &deltaStart, &fullEnd,
-                          &thisStratum](size_t) {
-            t.results[ci] = collectCandidates(
-                rule, t.deltaPos, deltaStart, fullEnd, thisStratum,
-                t.clampLit, t.chunks[ci], nullptr, t.plan.get());
-          });
-        }
-      }
-      threadPool_->run(std::move(jobs));
-    }
-
-    // Phase A2: pre-check candidate conditions on the solver pool.
-    // Skipped when the backend cannot be cloned (Z3): replay then
-    // issues the checks itself, exactly like serial evaluation.
-    if (solverPool_ != nullptr && solverPool_->concurrent()) {
-      std::vector<Candidate*> pending;
-      for (auto& t : tasks) {
-        const dl::Atom& head = p_.rules[t.ri].head;
-        const rel::CTable& out = idbTable(head.pred, head.args.size());
-        for (auto& chunk : t.results) {
-          for (auto& c : chunk) {
-            // Replay's first filter is syntactic subsumption against
-            // the (then-current) table; a candidate already subsumed at
-            // snapshot time never reaches the solver there, so checking
-            // it here would be wasted work. Candidates that escape this
-            // filter but get subsumed during replay simply drop their
-            // precheck on the floor — logical accounting stays serial.
-            if (smt::impliesSyntactically(c.cond, out.conditionOf(c.vals))) {
-              continue;
-            }
-            // Cache-aware skip: a condition already decided — earlier
-            // this round, a previous round, or a previous evaluation
-            // sharing the cache — needs no lane dispatch; adopt the
-            // memoized verdict as this candidate's precheck. Replay
-            // consumes it through the same consumeDelegated path, so
-            // logical accounting is unchanged.
-            if (cache_ != nullptr && !c.cond.isTrue()) {
-              if (auto hit = cache_->lookupCheck(c.cond)) {
-                c.verdict = hit->sat;
-                c.seconds = 0.0;
-                c.enumerations = hit->enumerations;
-                c.hasPrecheck = true;
-                continue;
-              }
-            }
-            pending.push_back(&c);
-          }
-        }
-      }
-      if (!pending.empty()) {
-        size_t lanes = threadPool_->workers() + 1;
-        size_t slices = std::min(pending.size(), lanes * 2);
-        size_t per = (pending.size() + slices - 1) / slices;
-        std::vector<std::function<void(size_t)>> jobs;
-        for (size_t lo = 0; lo < pending.size(); lo += per) {
-          size_t hi = std::min(pending.size(), lo + per);
-          jobs.push_back([this, &pending, lo, hi](size_t lane) {
-            // Deadline responsiveness: prechecks charge no budget (the
-            // replay does), so poll the trip flag between checks.
-            if (guard_ != nullptr && !guard_->checkDeadline()) {
-              throw BudgetTrip{};
-            }
-            for (size_t i = lo; i < hi; ++i) {
-              if (guard_ != nullptr && guard_->tripped()) throw BudgetTrip{};
-              smt::SolverPool::Outcome oc =
-                  solverPool_->check(lane, pending[i]->cond);
-              pending[i]->verdict = oc.verdict;
-              pending[i]->seconds = oc.seconds;
-              pending[i]->enumerations = oc.enumerations;
-              pending[i]->hasPrecheck = true;
-            }
-          });
-        }
-        threadPool_->run(std::move(jobs));
-      }
-    }
-
-    // Phase B: serial replay in task order.
-    bool changed = false;
-    for (auto& t : tasks) {
-      const Rule& rule = p_.rules[t.ri];
-      obs::Span span;
-      if (tracer_ != nullptr) {
-        curRule_ = &ruleMetrics(t.ri);
-        span = obs::Span(tracer_, ruleTag(t.ri));
-      }
-      rel::CTable& out = idbTable(rule.head.pred, rule.head.args.size());
-      for (auto& chunk : t.results) {
-        for (auto& c : chunk) {
-          changed |= derive(out, std::move(c.vals), std::move(c.cond), &c);
-        }
-      }
-      curRule_ = nullptr;
-    }
     return changed;
   }
 
@@ -780,16 +526,8 @@ class FaureEvaluator {
     if (guard_ != nullptr && !guard_->chargeMemory(bytes)) throw BudgetTrip{};
   }
 
-  /// Appends one candidate unless subsumed or contradictory. This is
-  /// the order-sensitive core both evaluation modes share: in a
-  /// parallel round it runs on the engine thread only, in serial task
-  /// order. `pre` (parallel mode) carries a SolverPool verdict for the
-  /// condition; it is consumed through the main solver's accounting so
-  /// the logical `solver.*` stream matches serial evaluation, and is
-  /// simply ignored when subsumption decides first — exactly the checks
-  /// a serial run performs are accounted, in the same order.
-  bool derive(rel::CTable& out, std::vector<Value> vals, smt::Formula cond,
-              const Candidate* pre) {
+  /// Appends one candidate unless subsumed or contradictory.
+  bool derive(rel::CTable& out, std::vector<Value> vals, smt::Formula cond) {
     if (cond.isFalse()) return false;
     ++stats_.derivations;
     if (curRule_ != nullptr) curRule_->derivations->add();
@@ -803,12 +541,7 @@ class FaureEvaluator {
       return false;
     }
     if (opts_.pruneWithSolver) {
-      smt::Sat verdict =
-          pre != nullptr && pre->hasPrecheck
-              ? solver_->consumeDelegated(pre->verdict, pre->seconds,
-                                          pre->enumerations)
-              : solver_->check(cond);
-      if (verdict == smt::Sat::Unsat) {
+      if (solver_->check(cond) == smt::Sat::Unsat) {
         ++stats_.prunedUnsat;
         if (curRule_ != nullptr) curRule_->prunedUnsat->add();
         return false;
@@ -977,8 +710,8 @@ class FaureEvaluator {
         }
         forRange(pidx->wildRows(), [&](size_t r) { extend(f, rows[r]); });
       }
-      planStats_.probes.fetch_add(probes, std::memory_order_relaxed);
-      planStats_.hits.fetch_add(hits, std::memory_order_relaxed);
+      planStats_.probes += probes;
+      planStats_.hits += hits;
     } else {
       // Rows with a c-variable in any key position match any probe; keep
       // them aside and hash the rest.
@@ -1064,8 +797,7 @@ class FaureEvaluator {
       const Rule& rule, const PlanContext& ctx, size_t deltaPos,
       const std::unordered_map<std::string, size_t>& deltaStart,
       const std::unordered_map<std::string, size_t>& fullEnd,
-      const std::set<std::string>& thisStratum, size_t clampLit,
-      Range clamp) {
+      const std::set<std::string>& thisStratum) {
     const RuleShape& shape = *ctx.shape;
     size_t nLits = shape.lits.size();
 
@@ -1092,11 +824,8 @@ class FaureEvaluator {
       const rel::CTable& table = *ctx.tables[pl.lit];
       const auto& rows = table.rows();
       const dl::Literal& lit = rule.body[ls.body];
-      Range range =
-          ls.body == clampLit
-              ? clamp
-              : rangeFor(lit.atom.pred, deltaPos, ls.body, deltaStart,
-                         fullEnd, thisStratum, table);
+      Range range = rangeFor(lit.atom.pred, deltaPos, ls.body, deltaStart,
+                             fullEnd, thisStratum, table);
       const rel::JoinIndex* idx = ctx.stepIndex[step];
 
       std::vector<Combo> next;
@@ -1148,8 +877,8 @@ class FaureEvaluator {
       }
       combos = std::move(next);
     }
-    planStats_.probes.fetch_add(probes, std::memory_order_relaxed);
-    planStats_.hits.fetch_add(hits, std::memory_order_relaxed);
+    planStats_.probes += probes;
+    planStats_.hits += hits;
 
     // Phase 2 + 3: serial replay, then canonical sort.
     struct Built {
@@ -1380,47 +1109,25 @@ class FaureEvaluator {
     if (degraded) reg.counter("eval.incomplete").add();
     reg.histogram("eval.sql_seconds").observe(stats_.sqlSeconds);
     reg.histogram("eval.solver_seconds").observe(stats_.solverSeconds);
-    // Physical parallel-execution totals. Kept in their own namespace:
-    // everything above is serial-identical by construction, everything
-    // under eval.par.* describes how the work was scheduled and is
-    // expected to vary with the thread count.
-    if (threads_ > 1) {
-      reg.gauge("eval.par.threads").set(static_cast<double>(threads_));
-      if (solverPool_ != nullptr && solverPool_->concurrent()) {
-        smt::SolverStats ps = solverPool_->pooledStats();
-        reg.counter("eval.par.precheck.checks").add(ps.checks);
-        reg.counter("eval.par.precheck.unsat").add(ps.unsat);
-        reg.counter("eval.par.precheck.unknown").add(ps.unknown);
-        reg.counter("eval.par.precheck.enumerations").add(ps.enumerations);
-        reg.gauge("eval.par.precheck.seconds").set(ps.seconds);
-        reg.counter("eval.par.lane_replacements")
-            .add(solverPool_->laneReplacements());
-        reg.counter("eval.par.poisoned_checks")
-            .add(solverPool_->poisonedChecks());
-      }
-    }
-    // Join-planner totals (DESIGN.md §11). Physical like eval.par.*:
-    // which indexes get built and how many probes hit depends on the
-    // plan, and the whole point of the planner is to change physical
-    // work — the determinism gate normalizes eval.plan.* away.
+    // Join-planner totals (DESIGN.md §11). Physical: which indexes get
+    // built and how many probes hit depends on the plan, and the whole
+    // point of the planner is to change physical work — the determinism
+    // gate normalizes eval.plan.* away.
     if (planMode_ != PlanMode::Off) {
       reg.counter("eval.plan.plans").add(planStats_.plans);
       reg.counter("eval.plan.reorders").add(planStats_.reorders);
       reg.counter("eval.plan.index_builds").add(planStats_.indexBuilds);
       reg.counter("eval.plan.index_extensions")
           .add(planStats_.indexExtensions);
-      reg.counter("eval.plan.probes")
-          .add(planStats_.probes.load(std::memory_order_relaxed));
-      reg.counter("eval.plan.hits")
-          .add(planStats_.hits.load(std::memory_order_relaxed));
+      reg.counter("eval.plan.probes").add(planStats_.probes);
+      reg.counter("eval.plan.hits").add(planStats_.hits);
       reg.counter("eval.plan.est_rows").add(planStats_.estRows);
-      reg.counter("eval.plan.actual_rows")
-          .add(planStats_.actualRows.load(std::memory_order_relaxed));
+      reg.counter("eval.plan.actual_rows").add(planStats_.actualRows);
     }
-    // Verdict-cache deltas for this evaluation. Physical like eval.par.*
-    // — which lookup misses depends on scheduling (two lanes can miss
-    // the same formula concurrently) — so the determinism gate
-    // normalizes solver.cache.* away; hit *verdicts* are deterministic.
+    // Verdict-cache deltas for this evaluation. Physical — which lookup
+    // misses depends on what earlier evaluations sharing the cache
+    // decided — so the determinism gate normalizes solver.cache.* away;
+    // hit *verdicts* are deterministic.
     if (cache_ != nullptr) {
       smt::VerdictCache::Stats cs = cache_->stats();
       reg.counter("solver.cache.hits").add(cs.hits - cacheBefore_.hits);
@@ -1444,11 +1151,6 @@ class FaureEvaluator {
   std::vector<RuleMetrics> ruleMetrics_;
   RuleMetrics* curRule_ = nullptr;  // set around derive() by evalRule
 
-  // Parallel execution (null / 1 in serial mode).
-  size_t threads_ = 1;
-  std::unique_ptr<util::ThreadPool> threadPool_;
-  std::unique_ptr<smt::SolverPool> solverPool_;
-
   // The main solver's verdict cache (null when none attached), with its
   // stats snapshot at construction so flushMetrics reports this
   // evaluation's deltas.
@@ -1457,9 +1159,7 @@ class FaureEvaluator {
 
   // Cost-based planning (plan.hpp, DESIGN.md §11). Shapes are static
   // per rule; explained_ limits EXPLAIN output to one dump per (rule,
-  // delta position) per evaluation. Engine-thread counters are plain;
-  // probe/hit/actual-row counts accumulate on A1 workers and use
-  // relaxed atomics (totals only, no ordering dependency).
+  // delta position) per evaluation.
   PlanMode planMode_ = PlanMode::Off;
   std::vector<std::optional<RuleShape>> shapes_;
   std::set<std::pair<size_t, size_t>> explained_;
@@ -1469,9 +1169,9 @@ class FaureEvaluator {
     uint64_t indexBuilds = 0;
     uint64_t indexExtensions = 0;
     uint64_t estRows = 0;
-    std::atomic<uint64_t> probes{0};
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> actualRows{0};
+    uint64_t probes = 0;
+    uint64_t hits = 0;
+    uint64_t actualRows = 0;
   } planStats_;
 };
 

@@ -77,19 +77,17 @@ struct EvalOptions {
   /// Strict budgets: throw BudgetExceeded instead of returning an
   /// incomplete result when the guard trips.
   bool throwOnBudget = false;
-  /// Parallel evaluation (DESIGN.md §7): total number of threads the
-  /// fixpoint engine may use. Unset (the default) consults the
-  /// FAURE_THREADS environment variable, falling back to serial; 1
-  /// forces serial regardless of the environment; 0 means hardware
-  /// concurrency; N > 1 runs candidate generation and solver prechecks
-  /// on N threads with a deterministic per-round merge — results and
-  /// logical counters are bit-identical to a serial run.
+  /// Scenario fan-out width (DESIGN.md §7): how many scenarios a
+  /// ScenarioSet evaluates at once. A single evaluation is always serial
+  /// and ignores it. Unset (the default) consults the FAURE_THREADS
+  /// environment variable, falling back to 1; 0 means hardware
+  /// concurrency (resolveThreads).
   std::optional<unsigned> threads;
   /// Cost-based join planning (faurelog/plan.hpp, DESIGN.md §11): Off
   /// runs the pristine program-order join path; On reorders body
   /// literals by estimated selectivity and probes persistent c-table
-  /// indexes (rel::JoinIndex), with results byte-identical to Off at
-  /// any thread count; Explain additionally dumps each chosen plan to
+  /// indexes (rel::JoinIndex), with results byte-identical to Off;
+  /// Explain additionally dumps each chosen plan to
   /// stderr. Unset (the default) consults the FAURE_PLAN environment
   /// variable and falls back to On.
   std::optional<PlanMode> plan;
@@ -189,10 +187,10 @@ EvalResult evalFaurePlanned(const dl::Program& p, const rel::Database& db,
 /// Convenience: evaluates with a fresh NativeSolver and default options.
 EvalResult evalFaure(const dl::Program& p, const rel::Database& db);
 
-/// The thread count an evaluation with `opts` will actually use:
-/// resolves the unset-means-FAURE_THREADS default and the 0-means-
-/// hardware-concurrency convention (eval layers and the CLI report the
-/// same number through this).
+/// The scenario fan-out width `opts.threads` asks for: resolves the
+/// unset-means-FAURE_THREADS default and the 0-means-hardware-
+/// concurrency convention (ScenarioSet and the CLI report the same
+/// number through this).
 size_t resolveThreads(const EvalOptions& opts);
 
 }  // namespace faure::fl

@@ -81,8 +81,8 @@ struct RuleShape {
 
 /// One key column of a planned probe and where its value comes from: a
 /// fixed constant, or a static (literal, arg) source inside the row
-/// combination being enumerated. Sources are static so worker threads
-/// can evaluate probes without any shared mutable state.
+/// combination being enumerated. Sources are static, so a probe is
+/// evaluated without any mutable state.
 struct PlannedProbe {
   size_t arg = 0;  // column of the probed literal
   bool fixed = false;

@@ -71,15 +71,6 @@ ScenarioSet::ScenarioSet(dl::Program program, rel::Database base,
   cache_ = smt::buildSolverStack(base_->cvars(), opts_.solver).cache;
 }
 
-EvalOptions ScenarioSet::innerOpts() const {
-  EvalOptions o = opts_.eval;
-  // Scenario-level parallelism subsumes the inner pool; results are
-  // byte-identical at any inner thread count (DESIGN.md §7), so pin
-  // serial and never nest pools.
-  o.threads = 1;
-  return o;
-}
-
 smt::SolverStack ScenarioSet::makeForkStack() const {
   return smt::buildSolverStack(base_->cvars(), opts_.solver, cache_.get());
 }
@@ -89,7 +80,7 @@ const EvalResult& ScenarioSet::prepare() {
   obs::Span span(opts_.eval.tracer, "serve.prepare");
   smt::SolverStack stack = makeForkStack();
   ResourceGuard guard(opts_.limits);
-  EvalOptions eopts = innerOpts();
+  EvalOptions eopts = opts_.eval;
   if (guard.active()) {
     eopts.guard = &guard;
     stack.solver->setGuard(&guard);
@@ -135,7 +126,7 @@ ScenarioOutcome ScenarioSet::evaluateOne(const Scenario& s) {
   if (edits.empty()) return out;  // epoch 0 only — served from the snapshot
   smt::SolverStack stack = makeForkStack();
   ResourceGuard guard(opts_.limits);
-  EvalOptions eopts = innerOpts();
+  EvalOptions eopts = opts_.eval;
   if (guard.active()) {
     eopts.guard = &guard;
     stack.solver->setGuard(&guard);
@@ -184,9 +175,7 @@ std::vector<ScenarioOutcome> ScenarioSet::evaluate(
       out[i].message = e.what();
     }
   };
-  EvalOptions widthProbe;
-  widthProbe.threads = opts_.eval.threads;
-  size_t width = std::min(resolveThreads(widthProbe), scenarios.size());
+  size_t width = std::min(resolveThreads(opts_.eval), scenarios.size());
   if (width <= 1) {
     for (size_t i = 0; i < scenarios.size(); ++i) runOne(i);
   } else {

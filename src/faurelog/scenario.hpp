@@ -76,10 +76,9 @@ struct ScenarioOutcome {
 
 struct ScenarioSetOptions {
   /// Inner evaluation defaults (tracer, plan mode, …). `eval.threads`
-  /// is reinterpreted as the scenario fan-out width (0 = hardware
-  /// concurrency, unset = FAURE_THREADS, else serial); the per-scenario
-  /// evaluation itself is pinned serial — scenario-level parallelism
-  /// subsumes the inner pool, and results are byte-identical either way.
+  /// is the scenario fan-out width (0 = hardware concurrency, unset =
+  /// FAURE_THREADS, else serial); every scenario's own evaluation is
+  /// serial, and results are byte-identical at any width.
   EvalOptions eval;
   /// Per-scenario resource governance: every scenario arms its own
   /// guard from these limits, re-armed per epoch like one CLI run.
@@ -132,7 +131,6 @@ class ScenarioSet {
   const rel::Database& base() const { return *base_; }
 
  private:
-  EvalOptions innerOpts() const;
   smt::SolverStack makeForkStack() const;
   ScenarioOutcome evaluateOne(const Scenario& s);
 

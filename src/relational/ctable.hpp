@@ -336,9 +336,9 @@ class CTable {
     // from their own threads.
     mutable std::mutex joinMu;
     // key-column set -> secondary index. Ordered map for deterministic
-    // iteration and node stability (worker threads hold JoinIndex
-    // references across a round while the engine thread may create
-    // other entries between rounds). Mutable: a cache over rows,
+    // iteration and node stability (an evaluation holds JoinIndex
+    // references across a firing while another table sharing this body
+    // may create other entries). Mutable: a cache over rows,
     // maintained from const accessors.
     mutable std::map<std::vector<size_t>, JoinIndex> joinIndexes;
   };

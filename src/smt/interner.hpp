@@ -12,7 +12,7 @@
 // is freed normally, and its table slot is swept lazily (on bucket walk
 // and on periodic table growth), so long-running sessions do not leak
 // every condition they ever built. Thread-safe: the table is sharded by
-// node hash, one mutex per shard, so parallel evaluation lanes interning
+// node hash, one mutex per shard, so concurrent scenario forks interning
 // join conditions rarely contend.
 //
 // The interner also keeps each node's complement link (Formula::neg's

@@ -71,7 +71,7 @@ SolverBase::CheckScope::~CheckScope() {
   m.checkSeconds->observe(seconds);
 }
 
-Sat SolverBase::consumeDelegated(Sat verdict, double seconds,
+Sat SolverBase::accountCacheHit(Sat verdict, double seconds,
                                  uint64_t enumerations) {
   SolverStats before = stats_;
   Sat result = verdict;
@@ -120,7 +120,7 @@ Sat SolverBase::check(const Formula& f) {
     // still degrade this call to Unknown — budget behaviour is
     // identical to recomputing), stats and metric mirrors. Wall time is
     // the lookup's, the only thing a cache is allowed to change.
-    return consumeDelegated(hit->sat, watch.elapsed(), hit->enumerations);
+    return accountCacheHit(hit->sat, watch.elapsed(), hit->enumerations);
   }
   const SolverStats before = stats_;
   Sat result = checkUncached(f);
@@ -146,7 +146,7 @@ bool SolverBase::implies(const Formula& a, const Formula& b) {
     // Same accounting as the uncached path's inner check; a guard trip
     // degrades to Unknown and therefore answers "no", exactly as an
     // uncached tripped check would.
-    return consumeDelegated(hit->sat, watch.elapsed(), hit->enumerations) ==
+    return accountCacheHit(hit->sat, watch.elapsed(), hit->enumerations) ==
            Sat::Unsat;
   }
   const SolverStats before = stats_;

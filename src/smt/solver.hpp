@@ -65,9 +65,9 @@ class SolverBase {
   SolverBase& operator=(const SolverBase&) = delete;
 
   /// Three-valued satisfiability of `f` under the registry's domains.
-  /// With a VerdictCache attached, a memoized verdict is replayed through
-  /// consumeDelegated — logical accounting (guard charges, stats, metric
-  /// mirrors) is identical to recomputing; only wall time changes.
+  /// With a VerdictCache attached, a memoized verdict is replayed with
+  /// the same logical accounting (guard charges, stats, metric mirrors)
+  /// as recomputing it; only wall time changes.
   Sat check(const Formula& f);
 
   /// True only when `f` is certainly unsatisfiable.
@@ -80,16 +80,6 @@ class SolverBase {
 
   /// True when a ⟺ b is certain.
   bool equivalent(const Formula& a, const Formula& b);
-
-  /// Accounts a check whose verdict was computed elsewhere (by a
-  /// SolverPool worker during parallel evaluation): charges this
-  /// solver's guard exactly as a local check() would — a tripped
-  /// solver-check budget degrades the verdict to Unknown — and records
-  /// stats and registry mirrors as if this solver had performed the
-  /// check, with `seconds`/`enumerations` as measured by the actual
-  /// performer. This keeps the logical `solver.*` counter stream
-  /// identical between serial and parallel evaluation (DESIGN.md §7).
-  Sat consumeDelegated(Sat verdict, double seconds, uint64_t enumerations);
 
   const CVarRegistry& registry() const { return reg_; }
   const SolverStats& stats() const { return stats_; }
@@ -114,25 +104,13 @@ class SolverBase {
   virtual void setTracer(obs::Tracer* tracer);
   obs::Tracer* tracer() const { return tracer_; }
 
-  /// An independent instance of this solver configured identically, for
-  /// one SolverPool lane: clones must produce bit-identical verdicts and
-  /// share no mutable state with this solver (the registry is read-only
-  /// during an evaluation). Returns nullptr when the backend cannot be
-  /// cloned (Z3: per-context translation state); SolverPool then falls
-  /// back to its serialized shared-prototype mode. Clones carry no
-  /// guard, tracer, or verdict cache — the pool wires what lanes need.
-  virtual std::unique_ptr<SolverBase> cloneForLane(size_t lane) const {
-    (void)lane;
-    return nullptr;
-  }
-
   /// Attaches a verdict cache (smt/verdict_cache.hpp): check()/implies()
   /// consult it first and store non-degraded verdicts back. The cache
   /// must be bound to this solver's registry (throws EvalError
-  /// otherwise) and may be shared across solvers — SolverPool propagates
-  /// the prototype's cache to every lane, and verify/ containment reuses
-  /// a session's cache across eval and verification. Null detaches; the
-  /// cache must outlive the solver's use of it.
+  /// otherwise) and may be shared across solvers — scenario forks share
+  /// one cache, and verify/ containment reuses a session's cache across
+  /// eval and verification. Null detaches; the cache must outlive the
+  /// solver's use of it.
   void setVerdictCache(VerdictCache* cache);
   VerdictCache* verdictCache() const { return cache_; }
 
@@ -176,6 +154,14 @@ class SolverBase {
   bool lastCheckCacheable_ = true;
 
  private:
+  /// Accounts a verdict-cache hit as a check of this solver: charges the
+  /// guard exactly as a fresh check() would — a tripped solver-check
+  /// budget degrades the verdict to Unknown — and records stats and
+  /// registry mirrors, with `enumerations` as the original check
+  /// performed and `seconds` as the lookup took. Cached and uncached
+  /// runs therefore produce the same logical `solver.*` counter stream.
+  Sat accountCacheHit(Sat verdict, double seconds, uint64_t enumerations);
+
   /// Registry handles, resolved once in setTracer; valid iff tracer_.
   struct MetricHandles {
     obs::Counter* checks = nullptr;
@@ -254,16 +240,7 @@ class NativeSolver : public SolverBase {
   NativeSolver(const CVarRegistry& reg, Options opts)
       : SolverBase(reg), opts_(opts) {}
 
-  /// Configuration, so a SolverPool can clone equivalently-configured
-  /// per-worker instances.
   const Options& options() const { return opts_; }
-
-  /// Native clones are pure decision procedures over the shared
-  /// registry: same Options, bit-identical verdicts.
-  std::unique_ptr<SolverBase> cloneForLane(size_t lane) const override {
-    (void)lane;
-    return std::make_unique<NativeSolver>(reg_, opts_);
-  }
 
  protected:
   Sat checkUncached(const Formula& f) override;

@@ -102,18 +102,6 @@ void SupervisedSolver::setTracer(obs::Tracer* tracer) {
       &reg.counter("solver.supervise.faults_injected");
 }
 
-std::unique_ptr<SolverBase> SupervisedSolver::cloneForLane(
-    size_t lane) const {
-  auto clone = std::make_unique<SupervisedSolver>(reg_, opts_);
-  clone->laneId_ = static_cast<int>(lane);
-  for (const Backend& be : chain_) {
-    std::unique_ptr<SolverBase> inner = be.solver->cloneForLane(lane);
-    if (inner == nullptr) return nullptr;
-    clone->addBackend(be.name, std::move(inner));
-  }
-  return clone;
-}
-
 void SupervisedSolver::bump(uint64_t SupervisionStats::* field,
                             obs::Counter* handle) {
   ++(sup_.*field);
@@ -211,12 +199,11 @@ SupervisedSolver::Attempt SupervisedSolver::runAttempt(Backend& be,
 
   // Injected faults are decided before the backend is touched: the
   // schedule is a pure function of (seed, backend, formula hash,
-  // attempt), so it replays identically at any thread count.
+  // attempt), so it replays identically in every fork.
   if (opts_.chaos != nullptr) {
-    util::FaultKind kind = opts_.chaos->decide(be.name, key, attempt, laneId_);
+    util::FaultKind kind = opts_.chaos->decide(be.name, key, attempt);
     if (kind == util::FaultKind::None && index == 0) {
-      kind = opts_.chaos->decide(util::FaultPlan::kPrimaryTag, key, attempt,
-                                 laneId_);
+      kind = opts_.chaos->decide(util::FaultPlan::kPrimaryTag, key, attempt);
     }
     if (kind != util::FaultKind::None) {
       out.failed = true;

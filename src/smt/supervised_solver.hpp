@@ -38,13 +38,13 @@
 //     lastCheckCacheable_ gate in SolverBase::check/implies);
 //   * with a FaultPlan attached, degraded results are a pure function
 //     of the seed — fault decisions key on the formula hash, never on
-//     call order, so any thread count replays the same schedule.
+//     call order, so every fork and fan-out width replays the same
+//     schedule.
 //
 // The wrapper is itself a SolverBase: guards charge once per logical
 // check at this level, a VerdictCache attaches at this level only
 // (inner backends are stripped of theirs), metrics mirror under both
-// solver.* and solver.supervise.*, and cloneForLane() clones the whole
-// chain so SolverPool lanes are independently supervised.
+// solver.* and solver.supervise.*.
 #pragma once
 
 #include <functional>
@@ -143,12 +143,6 @@ class SupervisedSolver : public SolverBase {
 
   void setTracer(obs::Tracer* tracer) override;
 
-  /// Clones the whole chain for a SolverPool lane (sharing the fault
-  /// plan; breakers and quarantines start fresh). Returns nullptr when
-  /// any backend cannot be cloned — the pool then serializes through
-  /// this instance instead.
-  std::unique_ptr<SolverBase> cloneForLane(size_t lane) const override;
-
  protected:
   Sat checkUncached(const Formula& f) override;
 
@@ -189,7 +183,6 @@ class SupervisedSolver : public SolverBase {
   SupervisionOptions opts_;
   SupervisionStats sup_;
   std::vector<Backend> chain_;
-  int laneId_ = -1;  // SolverPool lane of a clone; -1 off-pool
   struct SuperviseHandles {
     obs::Counter* retries = nullptr;
     obs::Counter* failovers = nullptr;

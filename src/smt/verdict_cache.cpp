@@ -55,7 +55,7 @@ void VerdictCache::store(const Key& key,
   syncEpochLocked();
   auto it = map_.find(key);
   if (it != map_.end()) {
-    // Concurrent lanes can race to store the same formula; verdicts are
+    // Concurrent forks can race to store the same formula; verdicts are
     // deterministic, so first-in wins and the repeat just refreshes LRU.
     lru_.splice(lru_.begin(), lru_, it->second.lruPos);
     return;

@@ -18,9 +18,9 @@
 //     budget state into another. SolverBase::check() detects trips via
 //     the stats_.budgetTrips delta and skips the store.
 //   * Hits still charge full logical accounting: the solver replays the
-//     stored verdict through consumeDelegated(), so guard charges,
-//     SolverStats and the mirrored `solver.*` metric stream are exactly
-//     what an uncached run would produce. Only wall time changes.
+//     stored verdict through SolverBase::accountCacheHit(), so guard
+//     charges, SolverStats and the mirrored `solver.*` metric stream are
+//     exactly what an uncached run would produce. Only wall time changes.
 //   * The cache is bound to one CVarRegistry and watches its
 //     mutationEpoch(): mutating an existing variable's domain flips
 //     verdicts, so the cache clears itself on the next access. Declaring
@@ -30,10 +30,9 @@
 //     be reused by a recycled allocation while the entry lives.
 //
 // Thread-safe behind one mutex: lookups are pointer hashes, far cheaper
-// than any solver check, and SolverPool lanes only reach the cache once
-// per physical check. Hit verdicts are deterministic — which *thread*
-// pays the miss varies, but every thread reads the same stored verdict,
-// and logical accounting happens at the serial replay regardless.
+// than any solver check, and concurrent scenario forks (ScenarioSet)
+// share one cache. Hit verdicts are deterministic — which fork pays the
+// miss varies, but every fork reads the same stored verdict.
 #pragma once
 
 #include <cstdint>
@@ -67,7 +66,7 @@ class VerdictCache {
   size_t capacity() const { return capacity_; }
 
   /// What a hit replays: the logical verdict plus the enumeration work
-  /// the original check performed (consumeDelegated re-charges it).
+  /// the original check performed (accountCacheHit re-charges it).
   struct Verdict {
     Sat sat = Sat::Unknown;
     uint64_t enumerations = 0;

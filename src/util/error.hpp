@@ -50,9 +50,9 @@ class EvalError : public Error {
 /// A solver backend failed for reasons of its own — the engine is
 /// missing (a build without Z3), the backing library raised, or a check
 /// aborted inside the backend. Distinct from EvalError (bad input) so
-/// fault-tolerance layers (smt::SupervisedSolver, smt::SolverPool) can
-/// catch engine trouble and retry / fail over / replace the instance
-/// without masking genuine programming errors.
+/// the fault-tolerance layer (smt::SupervisedSolver) can catch engine
+/// trouble and retry / fail over without masking genuine programming
+/// errors.
 class SolverBackendError : public Error {
  public:
   SolverBackendError(std::string backend, const std::string& what)

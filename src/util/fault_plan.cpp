@@ -46,7 +46,7 @@ void FaultPlan::configure(std::string backend, FaultSpec spec) {
 }
 
 FaultKind FaultPlan::decide(std::string_view backend, uint64_t key,
-                            uint32_t attempt, int lane) const {
+                            uint32_t attempt) const {
   const FaultSpec* spec = nullptr;
   for (const auto& [name, s] : specs_) {
     if (name == backend) {
@@ -55,10 +55,9 @@ FaultKind FaultPlan::decide(std::string_view backend, uint64_t key,
     }
   }
   if (spec == nullptr) return FaultKind::None;
-  if (spec->lane >= 0 && lane != spec->lane) return FaultKind::None;
   if (spec->onlyKey != 0 && key != spec->onlyKey) return FaultKind::None;
   // One uniform draw from a stateless mix of the identifying inputs.
-  // Call order never enters, so the schedule is thread-count-invariant.
+  // Call order never enters, so the schedule is thread-invariant.
   uint64_t mix = seed_;
   mix ^= fnv1a(backend) * 0x9e3779b97f4a7c15ULL;
   mix ^= key * 0xc2b2ae3d27d4eb4fULL;

@@ -6,14 +6,15 @@
 // attempt) whether that call crashes, times out, or answers a spurious
 // Unknown. The decision is a pure hash of the inputs — never of call
 // order, wall clock, or thread id — so the same seed injects the same
-// faults whether the run is serial, parallel on 8 threads, or replayed
-// under a cache: the determinism axis the chaos suite is built on
+// faults whether the run is a single evaluation, a scenario fork on any
+// fan-out width, or replayed under a cache: the determinism axis the
+// chaos suite is built on
 // (DESIGN.md §9 "Fault tolerance & chaos testing").
 //
 // The plan is keyed on plain integers (the solver layer passes the
 // hash-consed formula hash as `key`) so util stays free of smt types.
 // Plans are immutable after configure(); decide() is const and
-// thread-safe, so one shared plan serves every SolverPool lane.
+// thread-safe, so one shared plan serves every scenario fork.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,6 @@ struct FaultSpec {
   double crash = 0.0;
   double timeout = 0.0;
   double spuriousUnknown = 0.0;
-  /// Restrict injection to one SolverPool lane (-1: every lane and the
-  /// non-pooled path). Lane-targeted faults exercise lane death and
-  /// replacement without touching the serial replay path.
-  int lane = -1;
   /// When true (default) the decision re-rolls per retry attempt, so a
   /// bounded retry can clear a fault. When false the fault is permanent
   /// for a given (backend, key): the schedule of a dead engine.
@@ -65,10 +62,9 @@ class FaultPlan {
   uint64_t seed() const { return seed_; }
 
   /// The fault (or None) for attempt `attempt` of the query with hash
-  /// `key` on `backend`, running on pool lane `lane` (-1 off-pool).
-  /// Pure function of the arguments and the seed.
-  FaultKind decide(std::string_view backend, uint64_t key, uint32_t attempt,
-                   int lane = -1) const;
+  /// `key` on `backend`. Pure function of the arguments and the seed.
+  FaultKind decide(std::string_view backend, uint64_t key,
+                   uint32_t attempt) const;
 
   /// The default chaos schedule for `seed`: moderate crash / timeout /
   /// spurious-Unknown rates on the *primary* backend tag only. The

@@ -26,9 +26,9 @@ using SymbolId = uint32_t;
 /// Id of an interned symbol sequence (a "path").
 using PathId = uint32_t;
 
-/// Process-wide string interner. Thread-safe: the parallel fixpoint
-/// engine formats values (e.g. in error paths) from worker threads, so
-/// both interners serialize behind a mutex. Interning is far off the
+/// Process-wide string interner. Thread-safe: concurrent scenario forks
+/// parse and format values from their own threads, so both interners
+/// serialize behind a mutex. Interning is far off the
 /// join/derive hot path, so the lock is uncontended in practice.
 class SymbolTable {
  public:

@@ -129,7 +129,7 @@ std::string ResourceGuard::reason() const {
 }
 
 bool ResourceGuard::trip(Budget kind) {
-  // First tripper wins; racing workers see the trip at their next
+  // First tripper wins; racing threads see the trip at their next
   // charge. The CAS guarantees the observer fires exactly once.
   Budget expected = Budget::None;
   if (tripped_.compare_exchange_strong(expected, kind,

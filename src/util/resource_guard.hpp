@@ -15,8 +15,8 @@
 // A default-constructed guard is inactive: every charge is a single flag
 // test, nothing ever trips, and engine behaviour is bit-identical to an
 // unguarded run. Charging, cancel() and the read accessors are
-// thread-safe: the parallel fixpoint engine (DESIGN.md §7) shares one
-// guard across all workers, every worker observes a trip at its next
+// thread-safe: a guard may be charged, cancelled or read from several
+// threads at once, every charging thread observes a trip at its next
 // charge, and the trip observer fires exactly once. Configuration
 // (arm/rearm/failAfter/onTrip) still assumes a single thread between
 // governed operations.
@@ -156,7 +156,7 @@ class ResourceGuard {
   bool trip(Budget kind);  // records the trip once; always returns false
 
   ResourceLimits limits_;
-  // Counters are individually atomic so concurrent workers can charge
+  // Counters are individually atomic so concurrent threads can charge
   // without locks; counters() snapshots them into the POD Counters.
   std::atomic<uint64_t> steps_{0};
   std::atomic<uint64_t> tuples_{0};

@@ -1,18 +1,15 @@
-// Determinism contract of the parallel fixpoint engine (DESIGN.md §7):
-// for any EvalOptions::threads the evaluator must produce results that
-// are bit-identical to serial — same rows, same row order, same
-// conditions, same logical counters (EvalStats and solver.* stats) —
-// and resource-budget trips must degrade with the same machine-readable
-// reason as a serial run. Also covers the threads-resolution rules
-// (explicit > FAURE_THREADS env > serial default, 0 = hardware).
+// Thread-count invariance of a single evaluation (DESIGN.md §7): the
+// fixpoint is serial, and EvalOptions::threads is only the scenario
+// fan-out width, so for any threads value the evaluator must produce
+// the same rows in the same order with the same conditions and the
+// same logical counters (EvalStats and solver.* stats), and a budget
+// trip, cancellation or strict-budget throw must surface the same
+// machine-readable reason as threads = 1.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
 
 #include "datalog/parser.hpp"
 #include "faurelog/eval.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace faure::fl {
 namespace {
@@ -77,7 +74,7 @@ class ParallelEvalTest : public ::testing::Test {
     EXPECT_EQ(a.incomplete, b.incomplete);
     EXPECT_EQ(a.tripped, b.tripped);
     EXPECT_EQ(a.degradeReason, b.degradeReason);
-    // The logical solver stream is replayed identically (DESIGN.md §7).
+    // The logical solver stream is identical too.
     EXPECT_EQ(serial.solver.checks, parallel.solver.checks);
     EXPECT_EQ(serial.solver.unsat, parallel.solver.unsat);
     EXPECT_EQ(serial.solver.unknown, parallel.solver.unknown);
@@ -130,8 +127,7 @@ TEST_F(ParallelEvalTest, NegationAndComparisonsAreThreadCountInvariant) {
 }
 
 TEST_F(ParallelEvalTest, LargeRelationPartitioningIsThreadCountInvariant) {
-  // 2048 rows crosses the delta-partitioning threshold, so chunked scans
-  // of the first literal are exercised, not just rule-level parallelism.
+  // A 2048-row relation: a long single-literal scan and a self-join.
   CVarId x = db_.cvars().declareInt("x_", 0, 1);
   auto& e = db_.create(anySchema("E", 2));
   for (int i = 0; i < 2048; ++i) {
@@ -164,10 +160,9 @@ TEST_F(ParallelEvalTest, NaiveModeAndNoSolverModeStayInvariant) {
 }
 
 TEST_F(ParallelEvalTest, TupleBudgetTripDegradesWithTheSerialReason) {
-  // The ISSUE's degradation contract: a budget tripped under -j4 must
-  // abort all workers and surface the same machine-readable
-  // `kind(limit=N)` reason as serial — not crash, not hang, not a
-  // different reason.
+  // The degradation contract: a budget tripped under threads = 4 must
+  // surface the same machine-readable `kind(limit=N)` reason as
+  // threads = 1 — not crash, not hang, not a different reason.
   loadChain(12);
   ResourceLimits limits;
   limits.maxTuples = 20;
@@ -253,34 +248,5 @@ TEST_F(ParallelEvalTest, ThrowOnBudgetPropagatesFromWorkers) {
     EXPECT_EQ(e.reason(), "tuples(limit=5)");
   }
 }
-
-TEST(ResolveThreadsTest, ExplicitEnvAndHardwareRules) {
-  EvalOptions opts;
-
-  // Unset + no env: serial.
-  ::unsetenv("FAURE_THREADS");
-  EXPECT_EQ(resolveThreads(opts), 1u);
-
-  // Unset + env: the environment decides (the TSan CI job relies on
-  // forcing parallelism into every test through this knob).
-  ::setenv("FAURE_THREADS", "3", 1);
-  EXPECT_EQ(resolveThreads(opts), 3u);
-
-  // Explicit threads override the environment entirely.
-  opts.threads = 1;
-  EXPECT_EQ(resolveThreads(opts), 1u);
-  opts.threads = 5;
-  EXPECT_EQ(resolveThreads(opts), 5u);
-
-  // 0 means hardware concurrency, from either source.
-  opts.threads = 0;
-  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
-  opts.threads.reset();
-  ::setenv("FAURE_THREADS", "0", 1);
-  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
-
-  ::unsetenv("FAURE_THREADS");
-}
-
 }  // namespace
 }  // namespace faure::fl

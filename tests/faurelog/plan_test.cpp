@@ -1,12 +1,11 @@
 // Cost-based join planning (faurelog/plan.hpp, DESIGN.md §11): unit
 // tests for the rule-shape analysis and the greedy planner, and the
 // byte-identity contract end to end — for any plan mode, thread count
-// and workload shape (reordered literals, wild c-variable rows, chunked
-// parallel rounds, recursive delta pinning) the evaluator must produce
+// and workload shape (reordered literals, wild c-variable rows, large
+// first literals, recursive delta pinning) the evaluator must produce
 // results bit-identical to the pristine program-order path, including
-// the logical counters. Also pins the satellite contract that a
-// persistent index is built once per (relation, key-set, epoch), never
-// once per chunk.
+// the logical counters. Also pins that a persistent index is built once
+// per (relation, key-set, epoch), never once per firing.
 #include "faurelog/plan.hpp"
 
 #include <gtest/gtest.h>
@@ -288,10 +287,9 @@ TEST_F(PlanIdentityTest, RecursiveClosureKeepsDeltaSemantics) {
 }
 
 TEST_F(PlanIdentityTest, ChunkedParallelRoundsStayCanonical) {
-  // 1100 rows in the first literal crosses the partition threshold, so
-  // threads=8 splits the delta range into chunks whose planned results
-  // must concatenate back into the serial order; the first round's
-  // delta is the full range.
+  // 1100 rows in the first literal, eight rows per join key: the
+  // planned join must reproduce the program-order stream at every
+  // thread count; the first round's delta is the full range.
   std::string db =
       "table E(x int, y int)\n"
       "table E2(y int, z int)\n";
@@ -318,10 +316,9 @@ TEST_F(PlanIdentityTest, ExplainModeMatchesAndDumpsPlans) {
   EXPECT_NE(dump.find("probe["), std::string::npos) << dump;
 }
 
-/// Satellite regression: one persistent index build per (relation,
-/// key-set, epoch) — chunked parallel rounds share the index instead of
-/// rebuilding it per chunk, and a later epoch extends rather than
-/// rebuilds.
+/// Regression: one persistent index build per (relation, key-set,
+/// epoch) — every firing of the epoch shares the index instead of
+/// rebuilding it, and a later epoch extends rather than rebuilds.
 TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   std::string dbText =
       "table E(x int, y int)\n"
@@ -338,7 +335,6 @@ TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   obs::Tracer tracer;
   EvalOptions opts;
   opts.plan = PlanMode::On;
-  opts.threads = 4;  // E crosses kPartitionMinRows -> chunked round
   opts.tracer = &tracer;
   IncrementalEngine eng(std::move(program), db, &solver, opts);
   eng.setIncremental(true);
@@ -351,8 +347,7 @@ TEST_F(PlanIdentityTest, IndexBuiltOncePerRelationKeysetAndEpoch) {
   };
   auto builds = [&] { return counter("eval.plan.index_builds"); };
   // The tiny E2 is reordered first and E probes its y column (the
-  // binder keyed by E2's placed occurrence): exactly one index build,
-  // no matter how many chunks probed it.
+  // binder keyed by E2's placed occurrence): exactly one index build.
   EXPECT_EQ(builds(), 1u);
   // Second epoch: the edit grows the probed E; the retained index is
   // extended by watermark, not rebuilt.

@@ -3,17 +3,21 @@
 // divergently never observe each other, and a budget-tripped scenario
 // degrades alone), the fork-vs-fresh byte-identity contract at every
 // fan-out width (including under seeded chaos), the scenarios-file
-// split, and the Database::clone() snapshot the forks are built on.
+// split, the Database::clone() snapshot the forks are built on, and the
+// fan-out width rules of resolveThreads (explicit > FAURE_THREADS env >
+// 1, 0 = hardware).
 #include "faurelog/scenario.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "datalog/parser.hpp"
 #include "faurelog/textio.hpp"
 #include "util/fault_plan.hpp"
+#include "util/thread_pool.hpp"
 
 namespace faure::fl {
 namespace {
@@ -214,6 +218,34 @@ TEST(ScenarioSetTest, BatchesReuseOnePreparedSnapshot) {
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].output, b[0].output);
   EXPECT_EQ(a[0].exitCode, 0);
+}
+
+TEST(ResolveThreadsTest, ExplicitEnvAndHardwareRules) {
+  EvalOptions opts;
+
+  // Unset + no env: serial.
+  ::unsetenv("FAURE_THREADS");
+  EXPECT_EQ(resolveThreads(opts), 1u);
+
+  // Unset + env: the environment decides (the TSan CI job relies on
+  // forcing scenario fan-out into every test through this knob).
+  ::setenv("FAURE_THREADS", "3", 1);
+  EXPECT_EQ(resolveThreads(opts), 3u);
+
+  // Explicit threads override the environment entirely.
+  opts.threads = 1;
+  EXPECT_EQ(resolveThreads(opts), 1u);
+  opts.threads = 5;
+  EXPECT_EQ(resolveThreads(opts), 5u);
+
+  // 0 means hardware concurrency, from either source.
+  opts.threads = 0;
+  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
+  opts.threads.reset();
+  ::setenv("FAURE_THREADS", "0", 1);
+  EXPECT_EQ(resolveThreads(opts), util::ThreadPool::hardwareConcurrency());
+
+  ::unsetenv("FAURE_THREADS");
 }
 
 }  // namespace

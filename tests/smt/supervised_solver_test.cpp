@@ -44,15 +44,6 @@ class FlakySolver : public NativeSolver {
   int remainingFailures_;  // < 0: fail forever
 };
 
-/// A working backend whose lanes cannot be cloned (like Z3).
-class UncloneableSolver : public NativeSolver {
- public:
-  explicit UncloneableSolver(const CVarRegistry& reg) : NativeSolver(reg) {}
-  std::unique_ptr<SolverBase> cloneForLane(size_t) const override {
-    return nullptr;
-  }
-};
-
 class SupervisedSolverTest : public ::testing::Test {
  protected:
   CVarRegistry reg_;
@@ -387,29 +378,6 @@ TEST_F(SupervisedSolverTest, FromEnvReadsTheSupervisionVariables) {
 
   SupervisionOptions off = SupervisionOptions::fromEnv();
   EXPECT_FALSE(off.enabled);
-}
-
-TEST_F(SupervisedSolverTest, CloneForLaneClonesTheWholeChain) {
-  SupervisionOptions opts;
-  opts.maxRetries = 1;
-  SupervisedSolver sup(reg_, opts);
-  sup.addBackend("a", std::make_unique<NativeSolver>(reg_));
-  sup.addBackend("b", std::make_unique<NativeSolver>(reg_));
-
-  std::unique_ptr<SolverBase> clone = sup.cloneForLane(3);
-  ASSERT_NE(clone, nullptr);
-  for (const Formula& f : sampleFormulas()) {
-    EXPECT_EQ(clone->check(f), sup.check(f));
-  }
-  auto* typed = dynamic_cast<SupervisedSolver*>(clone.get());
-  ASSERT_NE(typed, nullptr);
-  EXPECT_EQ(typed->backends(), 2u);
-}
-
-TEST_F(SupervisedSolverTest, ChainsWithUncloneableBackendsDoNotClone) {
-  SupervisedSolver sup(reg_, {});
-  sup.addBackend("stuck", std::make_unique<UncloneableSolver>(reg_));
-  EXPECT_EQ(sup.cloneForLane(0), nullptr);
 }
 
 TEST_F(SupervisedSolverTest, PrimaryCacheIsAdoptedAtTheWrapper) {

@@ -28,7 +28,7 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]]; then
 fi
 
 if [[ "${SKIP_TSAN:-0}" != 1 ]]; then
-  echo "==> tsan (thread sanitizer, parallel evaluation forced)"
+  echo "==> tsan (thread sanitizer, scenario fan-out and serve at FAURE_THREADS=4)"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DFAURE_SANITIZE=thread
   cmake --build build-tsan -j "$JOBS"
@@ -44,7 +44,7 @@ if [[ "${SKIP_CHAOS:-0}" != 1 ]]; then
   # spurious Unknowns keyed on (seed, formula hash) and fails over to
   # the native fallback, so the whole suite must stay green with
   # unchanged results. The seeds are FIXED — a failure under seed S
-  # replays exactly with FAURE_CHAOS_SEED=S, any thread count:
+  # replays exactly with FAURE_CHAOS_SEED=S at any fan-out width:
   #   1         smallest interesting seed (fault-dense schedule)
   #   20260807  date-stamped seed used by cli_chaos_* tests and docs
   #   64206     0xFACE — historical third opinion
@@ -109,8 +109,8 @@ if [[ "${RUN_COVERAGE:-0}" == 1 ]]; then
 fi
 
 if [[ "${SKIP_BENCH_GATE:-0}" != 1 ]]; then
-  echo "==> bench-gate (Table 4, serial + -j2)"
-  (cd build && FAURE_TABLE4_SIZES=200,500 FAURE_TABLE4_THREADS=1,2 \
+  echo "==> bench-gate (Table 4)"
+  (cd build && FAURE_TABLE4_SIZES=200,500 \
     FAURE_BENCH_JSON=BENCH_table4_gate.json ./bench/table4_reachability)
   python3 tools/bench_check.py --current build/BENCH_table4_gate.json \
     --baseline bench/baseline_table4.json --tolerance 0.30 \

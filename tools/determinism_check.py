@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Byte-level determinism gate for the parallel fixpoint engine.
+"""Byte-level determinism gate for the CLI's results.
 
-The parallel evaluator (DESIGN.md "Parallel execution") promises results
-bit-identical to serial for every thread count. This script enforces the
-promise end to end through the CLI: for each (database, program) pair it
-runs
+The thread count (FAURE_THREADS, DESIGN.md "Parallelism lives at
+scenario fan-out") sets only the scenario fan-out width; `run` and
+`whatif` bytes must not depend on it, nor on the verdict cache, the join
+planner or supervised fault injection. This script enforces that end to
+end through the CLI: for each (database, program) pair it runs
 
     faure run <db> <program> --stats          (plain output + counters)
     faure run <db> <program> --metrics        (machine-readable report)
@@ -15,13 +16,10 @@ once per requested FAURE_THREADS value and fails if
     seconds on the stats lines are masked first) differs by a single
     byte from the serial run, or the exit code differs, or
   * the logical counters of the run report differ. Physical metrics are
-    normalized away first: `eval.par.*` (pool-side telemetry that only
-    exists in parallel runs), `eval.plan.*` (join-planner telemetry —
-    when indexes are built/extended depends on scheduling, and the cost
-    estimates read those live index stats), `solver.cache.*` (hit/miss
-    traffic of the verdict cache depends on which thread reaches a
-    formula first), all gauges/histograms (timings), span trees and
-    wall clocks. Everything logical — derivations, inserts, prunes,
+    normalized away first: `eval.plan.*` (join-planner telemetry — it
+    differs between plan modes by design), `solver.cache.*` (hit/miss
+    traffic differs between cached and uncached runs), all
+    gauges/histograms (timings), span trees and wall clocks. Everything logical — derivations, inserts, prunes,
     per-rule breakdowns, solver.* checks/unsat/enumerations — must
     match exactly.
 
@@ -39,8 +37,8 @@ baseline — that is the supervision transparency contract this mode
 enforces. Fault-handling telemetry is physical, not logical: the
 `supervise:` stats line, `solver.supervise.*` / `events.supervise.*`
 counters, and `supervise.*` events are masked before comparison (which
-checks reach a backend — and hence can fault — depends on cache hits
-and thread scheduling).
+checks reach a backend — and hence can fault — depends on cache hits,
+and in a scenario batch on which fork reaches a formula first).
 
 With --edit-script EDITS the gate targets the incremental engine's
 oracle contract (DESIGN.md §10) instead: for each (database, program)
@@ -146,7 +144,7 @@ def normalize_report(text):
         name: value
         for name, value in report.get("metrics", {}).get("counters", {}).items()
         if not name.startswith(
-            ("eval.par.", "eval.plan.", "solver.cache.",
+            ("eval.plan.", "solver.cache.",
              "solver.supervise.", "events.supervise.")
         )
     }

@@ -154,10 +154,12 @@ int usage() {
       "            [observability options] [budget options]\n"
       "  faure worlds <db.fdb> [cap]\n"
       "  faure fmt <db.fdb>\n"
-      "parallelism (DESIGN.md \"Parallel execution\"):\n"
-      "  --threads N / -jN  evaluation threads; 0 = hardware concurrency.\n"
-      "                     Default: FAURE_THREADS env, else serial.\n"
-      "                     Results are identical for every N.\n"
+      "parallelism (DESIGN.md \"Parallelism lives at scenario fan-out\"):\n"
+      "  --threads N / -jN  scenarios evaluated at once by whatif\n"
+      "                     --scenarios and serve; 0 = hardware\n"
+      "                     concurrency. Default: FAURE_THREADS env,\n"
+      "                     else 1. A single evaluation is always\n"
+      "                     serial; results are identical for every N.\n"
       "join planning (DESIGN.md \"Cost-based join planning\"):\n"
       "  --plan MODE  on: reorder body literals by estimated selectivity\n"
       "               and probe persistent c-table indexes; off: pristine\n"
@@ -428,7 +430,6 @@ struct CliOptions {
                               ResourceGuard& guard) const {
     fl::EvalOptions opts;
     opts.simplifyResults = simplify;
-    opts.threads = threads;
     opts.plan = plan;
     opts.tracer = tracer;
     if (guard.active()) opts.guard = &guard;
@@ -607,7 +608,6 @@ int cmdRun(int argc, char** argv) {
     meta.add("database", argv[0]);
     meta.add("program", argv[1]);
     meta.add("solver", o.solver.backend);
-    meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
     addSupervisionMeta(meta, o.solver.supervision);
     if (res.incomplete) meta.add("incomplete", res.degradeReason);
@@ -738,7 +738,6 @@ int cmdWhatif(int argc, char** argv) {
     meta.add("program", argv[1]);
     meta.add("edits", argv[2]);
     meta.add("solver", o.solver.backend);
-    meta.add("threads", std::to_string(fl::resolveThreads(opts)));
     meta.add("plan", planModeName(fl::resolvePlanMode(opts.plan)));
     meta.add("incremental", eng.incremental() ? "on" : "off");
     meta.add("epochs", std::to_string(epochsRun));
@@ -761,7 +760,7 @@ int cmdWhatif(int argc, char** argv) {
 fl::ScenarioSetOptions scenarioOptions(const CliOptions& o,
                                        obs::Tracer* tracer) {
   fl::ScenarioSetOptions sopts;
-  sopts.eval.threads = o.threads;  // reinterpreted as the fan-out width
+  sopts.eval.threads = o.threads;  // the fan-out width
   sopts.eval.plan = o.plan;
   sopts.eval.tracer = tracer;
   sopts.limits = o.limits;
